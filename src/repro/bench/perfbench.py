@@ -651,6 +651,7 @@ def bench_anytime(num_workloads=ANYTIME_WORKLOADS, base_seed=0,
                                           engine="loop")
                         costs[mode].append(float(result.total_cost))
                         subs[mode].append(float(result.suboptimality))
+        store.close()
     uniform = np.asarray(costs["uniform"], dtype=float)
     modes = {
         "uniform": {

@@ -23,7 +23,7 @@ optimizer sweep entirely.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.catalog.job import q1a
 from repro.catalog.tpcds import build_query, suite_names
@@ -68,6 +68,11 @@ class WorkloadInstance:
     query: object
     ess: object
     contours: object
+    #: State a long-lived holder derives from this surface and wants to
+    #: live exactly as long as the memoised instance (the serving worker
+    #: keeps its algorithm objects here): dropped with the instance by
+    #: :func:`clear_cache`, never consulted by :func:`load`.
+    resident: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_epps(self):

@@ -230,11 +230,14 @@ def _record_history(instance, qa, prior_kind):
         return
     from repro.prior import HistoryStore, history_key
 
+    store = HistoryStore()
     try:
-        HistoryStore().record(history_key(instance.query, instance.ess),
-                              tuple(float(v) for v in qa))
+        store.record(history_key(instance.query, instance.ess),
+                     tuple(float(v) for v in qa))
     except OSError:
         pass
+    finally:
+        store.close()
 
 
 def cmd_run(args):

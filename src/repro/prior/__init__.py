@@ -244,29 +244,67 @@ class HistoryStore:
     One line per completed discovery: ``{"key": ..., "sel": [...]}``
     where ``key`` ties the observation to a cost-model fingerprint +
     query name (see :func:`history_key`), so a cache shared between
-    profiles never cross-pollinates.  Appends are single ``write``
-    calls on a line-buffered handle — atomic enough for concurrent
-    pool workers on POSIX.
+    profiles never cross-pollinates.  The store keeps one line-buffered
+    ``O_APPEND`` handle open from its first :meth:`record` until
+    :meth:`close`: every line leaves the process as a single ``write``
+    call, which POSIX appends atomically, so concurrent pool workers
+    never tear each other's lines.
     """
 
     def __init__(self, path=None):
-        if path is None:
-            path = os.environ.get("REPRO_PRIOR_STORE", "").strip()
+        self.path = path or self.default_path()
+        self._handle = None
+
+    @staticmethod
+    def default_path():
+        """``REPRO_PRIOR_STORE``, else a file beside the ESS archives."""
+        path = os.environ.get("REPRO_PRIOR_STORE", "").strip()
         if not path:
             from repro.perf.cache import cache_dir
 
             path = os.path.join(cache_dir(), "prior_history.jsonl")
-        self.path = path
+        return path
 
     def record(self, key, selectivities):
-        """Append one observed selectivity vector (best effort)."""
+        """Append one observed selectivity vector.
+
+        Raises ``OSError`` when the store cannot be written even through
+        a freshly opened handle; callers that must not fail catch it.
+        """
         line = json.dumps(
             {"key": key, "sel": [float(s) for s in selectivities]},
             sort_keys=True,
-        )
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        ) + "\n"
+        try:
+            self._append(line)
+        except (OSError, ValueError):
+            # The kept handle went bad (closed under us, I/O error):
+            # one attempt on a fresh one before giving up.
+            self.close()
+            self._append(line)
+
+    def _append(self, line):
+        handle = self._handle
+        if handle is not None and os.fstat(handle.fileno()).st_nlink == 0:
+            # The sidecar was deleted (an operator resetting history):
+            # start a new file instead of feeding the unlinked one.
+            self.close()
+            handle = None
+        if handle is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            handle = self._handle = open(
+                self.path, "a", buffering=1, encoding="utf-8"
+            )
+        handle.write(line)
+
+    def close(self):
+        """Release the append handle (the next record re-opens it)."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def observations(self, key, num_dims):
         """All recorded vectors for ``key`` with the right arity."""

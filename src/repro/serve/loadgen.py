@@ -334,20 +334,21 @@ class ServerThread:
         self._thread.join(timeout)
 
 
-def solo_result(query, profile=None, algorithm="sb", qa=None):
+def solo_result(query, profile=None, algorithm="sb", qa=None, prior=None):
     """The exact result payload a solo (CLI-path) run produces.
 
     Same substrate calls as :func:`repro.serve.worker.run_discovery`
-    (``workloads.load`` then ``algorithm.run(trace=True)``), same
-    serializer, then one JSON round-trip so the comparison is against
-    wire bytes on both sides.
+    (``workloads.load`` then ``algorithm.run(trace=True)``) on a freshly
+    loaded surface and a freshly built algorithm object — none of the
+    worker's resident state — same serializer, then one JSON round-trip
+    so the comparison is against wire bytes on both sides.
     """
     from repro.bench import workloads
     from repro.serve import worker
 
     workloads.clear_cache()
     instance = workloads.load(query, profile=profile, ess_mode="eager")
-    algo = worker._make_algorithm(algorithm, instance)
+    algo = worker._make_algorithm(algorithm, instance, prior_kind=prior)
     payload = worker._execute(
         {"kind": "run", "qa": list(qa) if qa else None}, instance, algo
     )

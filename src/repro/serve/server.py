@@ -51,6 +51,10 @@ LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
+#: Entries kept by the front-end's ``(query, resolution)`` fingerprint
+#: memo (a few dozen bytes each; past this the oldest is dropped).
+FINGERPRINT_MEMO_LIMIT = 1024
+
 #: Trace spool flush period: finished traces batch on the loop for at
 #: most this long before the writer thread persists them.
 TRACE_FLUSH_S = 0.25
@@ -206,6 +210,7 @@ class DiscoveryServer:
         self._trace_writer = None
         self._trace_buffer = []
         self._trace_flusher = None
+        self._fingerprints = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -650,11 +655,10 @@ class DiscoveryServer:
             "ess_mode": ess_mode, "prior": prior,
         }
         try:
-            fingerprint, num_points = await loop.run_in_executor(
-                None, self._surface_fingerprint, request
-            )
+            known = await self._surface_of(request)
         except QueryError as exc:
             return 400, dict(base, outcome="invalid", error=str(exc))
+        fingerprint, num_points = known
         base["surface"] = {"fingerprint": fingerprint, "mode": ess_mode,
                            "num_points": num_points, "source": "none"}
 
@@ -664,13 +668,21 @@ class DiscoveryServer:
             build_start = time.time()
             try:
                 with _span("serve.build", fingerprint=fingerprint):
-                    done, acquired = await self._race_cancel(
-                        self.tier.acquire(
-                            fingerprint,
-                            lambda: self._build_surface(request, tracer),
-                        ),
-                        state,
-                    )
+                    # A resident surface is answered on the spot; only a
+                    # miss or a coalesced wait suspends, and only those
+                    # need the kill race.
+                    done, offer = self.tier.lookup(fingerprint)
+                    source = "hit"
+                    if not done:
+                        done, acquired = await self._race_cancel(
+                            self.tier.acquire(
+                                fingerprint,
+                                lambda: self._build_surface(request, tracer),
+                            ),
+                            state,
+                        )
+                        if done:
+                            offer, source = acquired
             except Exception as exc:  # build failed for the whole flight
                 return 500, dict(
                     base, outcome="error",
@@ -683,7 +695,6 @@ class DiscoveryServer:
             if not done:
                 return 200, dict(base, outcome="killed",
                                  timings={"build_s": build_s})
-            offer, source = acquired
             base["surface"]["source"] = source
         if state.cancelled:
             return 200, dict(base, outcome="killed",
@@ -765,11 +776,34 @@ class DiscoveryServer:
 
         return resolve_ess_mode(request.ess_mode or self.config.ess_mode)
 
-    def _surface_fingerprint(self, request):
-        """Content fingerprint of the request's surface (thread pool).
+    async def _surface_of(self, request):
+        """``(fingerprint, num_points)`` of the request's surface.
 
-        Cheap (query parse + grid metadata), but it touches the catalog
-        so it stays off the event loop.
+        Memoised on the event loop per ``(query, resolution)`` — profile
+        and cost model are fixed for the life of the server — so a warm
+        request pays a dict lookup: no thread-pool hop, no query
+        re-parse.  Misses compute on the thread pool; a ``QueryError``
+        propagates and is never cached.
+        """
+        memo_key = (request.query, request.resolution)
+        known = self._fingerprints.get(memo_key)
+        if known is None:
+            known = await asyncio.get_running_loop().run_in_executor(
+                None, self._surface_fingerprint, request
+            )
+            if len(self._fingerprints) >= FINGERPRINT_MEMO_LIMIT:
+                # Oldest out: the memo only saves a re-parse, so plain
+                # insertion order is enough to keep it bounded.
+                del self._fingerprints[next(iter(self._fingerprints))]
+            self._fingerprints[memo_key] = known
+        return known
+
+    def _surface_fingerprint(self, request):
+        """Content fingerprint of the request's surface.
+
+        Query parse + grid metadata + a hash: it touches the catalog,
+        so :meth:`_surface_of` runs it on the thread pool, once per
+        distinct ``(query, resolution)``.
         """
         import hashlib
         import json
@@ -822,14 +856,18 @@ async def serve_forever(config):
     import signal
 
     server = DiscoveryServer(config)
-    host, port = await server.start()
-    print(f"repro serve listening on http://{host}:{port} "
-          f"({config.workers} workers, queue {config.queue_limit}, "
-          f"tenant quota {config.tenant_quota})", flush=True)
+    # Handlers go in before the pool exists and before anyone is told
+    # the address: a SIGTERM sent the instant the listening line appears
+    # must drain, not kill the server by default action under its
+    # forked workers.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(sig, stop.set)
+    host, port = await server.start()
+    print(f"repro serve listening on http://{host}:{port} "
+          f"({config.workers} workers, queue {config.queue_limit}, "
+          f"tenant quota {config.tenant_quota})", flush=True)
     await stop.wait()
     print("draining...", flush=True)
     await server.stop(drain=True)

@@ -84,6 +84,24 @@ class SurfaceTier:
 
     # -- the single-flight path ----------------------------------------
 
+    def lookup(self, fingerprint):
+        """The hit half of :meth:`acquire`, without a coroutine.
+
+        Returns ``(True, offer_or_None)`` for a ready surface (counted
+        and LRU-touched exactly as an :meth:`acquire` hit) and
+        ``(False, None)`` otherwise, so a warm request never suspends
+        for the tier.
+        """
+        if self._closed:
+            raise RuntimeError("surface tier is closed")
+        entry = self._entries.get(fingerprint)
+        if entry is None or not entry.future.done() \
+                or entry.future.exception() is not None:
+            return False, None
+        self._entries.move_to_end(fingerprint)
+        REGISTRY.incr("serve_surface_hits")
+        return True, entry.offer
+
     async def acquire(self, fingerprint, builder):
         """The offer for ``fingerprint``, building at most once.
 
@@ -95,14 +113,11 @@ class SurfaceTier:
         ``coalesced`` or ``built``.  A failed build raises to the
         caller *after* the tier forgot the entry (next request retries).
         """
-        if self._closed:
-            raise RuntimeError("surface tier is closed")
+        hit, offer = self.lookup(fingerprint)
+        if hit:
+            return offer, "hit"
         entry = self._entries.get(fingerprint)
         if entry is not None:
-            if entry.future.done() and entry.future.exception() is None:
-                self._entries.move_to_end(fingerprint)
-                REGISTRY.incr("serve_surface_hits")
-                return entry.offer, "hit"
             REGISTRY.incr("serve_surface_coalesced")
             return await asyncio.shield(entry.future), "coalesced"
         loop = asyncio.get_running_loop()

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from tests.conftest import fuzz_seeds
+
 from repro.bench import workloads
 from repro.core.mso import evaluate_algorithm
 from repro.core.spill_bound import SpillBound
@@ -48,23 +50,31 @@ def start_server(**overrides):
     return thread
 
 
-def concurrent_discover(host, port, payloads):
-    """Fire every payload concurrently; returns (status, obj) per index."""
+def concurrent_discover(host, port, payloads, connections=None):
+    """Send every payload; returns (status, obj) per index.
+
+    One connection per payload by default, so all fire at once; given
+    ``connections``, that many keep-alive clients each work through
+    their own interleaved slice.
+    """
+    connections = connections or len(payloads)
     results = [None] * len(payloads)
 
-    def drive(index):
+    def drive(first):
         client = ServeClient(host, port)
         try:
-            results[index] = client.discover(payloads[index])
+            for index in range(first, len(payloads), connections):
+                results[index] = client.discover(payloads[index])
         finally:
             client.close()
 
     threads = [threading.Thread(target=drive, args=(i,))
-               for i in range(len(payloads))]
+               for i in range(connections)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(120.0)
+    assert not any(thread.is_alive() for thread in threads)
     return results
 
 
@@ -696,3 +706,316 @@ class TestPriorServing:
             client.close()
         finally:
             thread.stop()
+
+
+# ----------------------------------------------------------------------
+# Resident discovery state (worker algorithm memo, front-end
+# fingerprint memo, kept history handle)
+# ----------------------------------------------------------------------
+
+
+def worker_spec(query, **fields):
+    spec = {"query": query, "algorithm": "sb", "kind": "run", "qa": None,
+            "engine": "auto", "profile": "smoke", "resolution": None,
+            "ess_mode": "eager", "prior": "uniform", "sleep_s": 0.0,
+            "cancel_slot": None, "offer": None, "conformance": False}
+    spec.update(fields)
+    return spec
+
+
+def _record_lines(path, key, count):
+    """Body of one history-writer process (module level: spawn pickles
+    it by import path)."""
+    from repro.prior import HistoryStore
+
+    store = HistoryStore(path)
+    for i in range(count):
+        store.record(key, [1.0 / (i + 1), 0.5])
+    store.close()
+
+
+class TestResidentState:
+    SURFACES = (("2D_Q91", 2), ("3D_Q15", 3))
+
+    @pytest.mark.parametrize("seed", fuzz_seeds([7]))
+    def test_served_runs_identical_to_fresh_solo_runs(
+            self, serve_env, tmp_path, monkeypatch, seed):
+        """Reused algorithm objects answer exactly as fresh ones do —
+        across interleaved algorithms, priors, surfaces and locations,
+        across wholesale memo drops, and under the conformance monitor —
+        and every reply's ledger stays inside its total."""
+        import random
+
+        from repro.serve import worker
+
+        monkeypatch.setenv("REPRO_PRIOR_STORE", str(tmp_path / "h.jsonl"))
+        # Forked pool workers inherit this: with two surfaces in play the
+        # memo (and the resident state on it) is dropped wholesale every
+        # other load, so reuse and rebuild interleave.
+        monkeypatch.setattr(worker, "MEMO_LIMIT", 1)
+        rng = random.Random(seed)
+        payloads = []
+        for index in range(216):
+            query, num_dims = self.SURFACES[rng.randrange(2)]
+            payloads.append({
+                "query": query,
+                "algorithm": rng.choice(("pb", "sb", "ab")),
+                "prior": rng.choice(("uniform", "sampled")),
+                # Log-uniform in [1e-5, 1]: inside every workload grid.
+                "qa": [10.0 ** rng.uniform(-5.0, 0.0)
+                       for _ in range(num_dims)],
+                "conformance": index % 3 == 0,
+            })
+        thread = start_server()
+        try:
+            host, port = thread.address
+            replies = concurrent_discover(host, port, payloads,
+                                          connections=4)
+        finally:
+            thread.stop()
+        pids = set()
+        for payload, (status, served) in zip(payloads, replies):
+            assert status == 200 and served["outcome"] == "ok", served
+            solo = solo_result(
+                payload["query"], profile="smoke",
+                algorithm=payload["algorithm"], qa=payload["qa"],
+                prior=payload["prior"],
+            )
+            assert (json.dumps(served["result"], sort_keys=True)
+                    == json.dumps(solo, sort_keys=True)), payload
+            if payload["conformance"]:
+                assert served["conformance"]["num_violations"] == 0
+            timings = served["timings"]
+            parts = sum(timings[part] for part in
+                        ("build_s", "queue_s", "load_s", "run_s"))
+            assert parts <= timings["total_s"] + 1e-6, timings
+            pids.add(served["worker_pid"])
+        assert len(pids) == 2  # both pool workers took part
+
+    def test_memo_drop_takes_the_resident_state_with_it(self, serve_env,
+                                                        monkeypatch):
+        from repro.serve import worker
+
+        worker.run_discovery(worker_spec("2D_Q91"))
+        first = workloads.load("2D_Q91", profile="smoke", ess_mode="eager")
+        kept = first.resident[("algorithm", "sb", "uniform")]
+        worker.run_discovery(worker_spec("2D_Q91"))
+        assert first.resident[("algorithm", "sb", "uniform")] is kept
+        monkeypatch.setattr(worker, "MEMO_LIMIT", 0)
+        out = worker.run_discovery(worker_spec("2D_Q91"))
+        assert out["outcome"] == "ok"
+        second = workloads.load("2D_Q91", profile="smoke", ess_mode="eager")
+        assert second is not first
+        assert second.resident[("algorithm", "sb", "uniform")] is not kept
+
+    def test_history_prior_is_never_resident(self, serve_env, tmp_path,
+                                             monkeypatch):
+        """A recorded observation moves the next history-prior request's
+        start contour exactly as it moves a freshly built algorithm's."""
+        from repro.serve import worker
+
+        monkeypatch.setenv("REPRO_PRIOR_STORE", str(tmp_path / "h.jsonl"))
+        qa = [0.6, 0.7, 0.8]
+        spec = worker_spec("3D_Q15", prior="history", qa=qa)
+        before = worker.run_discovery(spec)["result"]
+        assert before["executions"][0]["contour"] == 1  # empty history
+        # ... and that run was recorded, so the store now has one row.
+        instance = workloads.load("3D_Q15", profile="smoke",
+                                  ess_mode="eager")
+        fresh = worker._make_algorithm("sb", instance, prior_kind="history")
+        expected = fresh.run(tuple(qa), trace=True).executions[0].contour
+        assert expected > 1
+        after = worker.run_discovery(spec)["result"]
+        assert after["executions"][0]["contour"] == expected
+        assert not any(key[0] == "algorithm" and key[2] == "history"
+                       for key in instance.resident
+                       if isinstance(key, tuple))
+
+    def test_evaluate_leaves_resident_caches_alone(self, serve_env):
+        from repro.serve import worker
+
+        def cache_sizes(algorithm):
+            return {name: len(value)
+                    for name, value in vars(algorithm).items()
+                    if name.endswith("_cache") or name == "_cost_surfaces"}
+
+        for name in ("sb", "ab"):
+            worker.run_discovery(worker_spec("3D_Q15", algorithm=name))
+        instance = workloads.load("3D_Q15", profile="smoke",
+                                  ess_mode="eager")
+        resident = {name: instance.resident[("algorithm", name, "uniform")]
+                    for name in ("sb", "ab")}
+        sizes = {name: cache_sizes(algo) for name, algo in resident.items()}
+        assert sum(sizes["ab"].values()) > 0  # the runs did fill them
+        for name in ("sb", "ab"):
+            for engine in ("loop", "batch"):
+                out = worker.run_discovery(worker_spec(
+                    "3D_Q15", algorithm=name, kind="evaluate",
+                    engine=engine))
+                assert out["outcome"] == "ok"
+        for name, algo in resident.items():
+            assert instance.resident[("algorithm", name, "uniform")] is algo
+            assert cache_sizes(algo) == sizes[name]
+
+    def test_fingerprint_memo_skips_errors_and_stays_bounded(
+            self, serve_env, monkeypatch):
+        from repro.serve import server as server_module
+
+        thread = start_server()
+        try:
+            host, port = thread.address
+            client = ServeClient(host, port)
+            memo = thread.server._fingerprints
+            for _ in range(2):
+                status, obj = client.discover({"query": "9D_Q999"})
+                assert status == 400 and obj["outcome"] == "invalid"
+                assert not memo
+            for _ in range(2):
+                status, obj = client.discover({"query": "2D_Q91"})
+                assert status == 200 and obj["outcome"] == "ok"
+                assert list(memo) == [("2D_Q91", None)]
+            client.close()
+
+            calls = []
+
+            def fingerprint(request):
+                calls.append(request.resolution)
+                return f"probe-{request.resolution}", request.resolution
+
+            monkeypatch.setattr(thread.server, "_surface_fingerprint",
+                                fingerprint)
+
+            async def probe():
+                for resolution in range(2, 10002):
+                    request = protocol.parse_discover(
+                        {"query": "2D_Q91", "resolution": resolution})
+                    known = await thread.server._surface_of(request)
+                    assert known == (f"probe-{resolution}", resolution)
+                    assert len(memo) <= server_module.FINGERPRINT_MEMO_LIMIT
+                # The newest are resident and answered without a call.
+                before = len(calls)
+                await thread.server._surface_of(request)
+                assert len(calls) == before
+
+            thread.submit(probe())
+            assert len(calls) == 10000
+            assert len(memo) == server_module.FINGERPRINT_MEMO_LIMIT
+        finally:
+            thread.stop()
+
+    def test_concurrent_history_writers_never_tear_lines(self, tmp_path):
+        import multiprocessing
+
+        from repro.prior import HistoryStore
+
+        path = str(tmp_path / "store" / "h.jsonl")
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(target=_record_lines, args=(path, key, 400))
+            for key in ("fp:a", "fp:b")
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(60.0)
+            assert not writer.is_alive() and writer.exitcode == 0
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 800
+        assert all(set(json.loads(line)) == {"key", "sel"} for line in lines)
+        store = HistoryStore(path)
+        for key in ("fp:a", "fp:b"):
+            rows = store.observations(key, 2)
+            assert sorted(row[0] for row in rows) == sorted(
+                1.0 / (i + 1) for i in range(400))
+
+    def test_worker_keeps_one_history_handle(self, serve_env, tmp_path,
+                                             monkeypatch):
+        from repro.serve import worker
+
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        monkeypatch.setenv("REPRO_PRIOR_STORE", str(first))
+        worker.run_discovery(worker_spec("2D_Q91"))
+        store = worker._history_store()
+        handle = store._handle
+        worker.run_discovery(worker_spec("2D_Q91"))
+        assert worker._history_store() is store and store._handle is handle
+        assert len(first.read_text().splitlines()) == 2
+        # A closed handle is re-opened, the record still lands ...
+        handle.close()
+        worker.run_discovery(worker_spec("2D_Q91"))
+        assert len(first.read_text().splitlines()) == 3
+        # ... a deleted sidecar starts over ...
+        first.unlink()
+        worker.run_discovery(worker_spec("2D_Q91"))
+        assert len(first.read_text().splitlines()) == 1
+        # ... a new path replaces the store ...
+        monkeypatch.setenv("REPRO_PRIOR_STORE", str(second))
+        worker.run_discovery(worker_spec("2D_Q91"))
+        assert worker._history_store() is not store
+        assert store._handle is None
+        assert len(second.read_text().splitlines()) == 1
+        # ... and an unwritable one never fails the request.
+        monkeypatch.setenv("REPRO_PRIOR_STORE",
+                           str(first / "not-a-directory" / "h.jsonl"))
+        assert worker.run_discovery(worker_spec("2D_Q91"))["outcome"] == "ok"
+
+
+class TestBootRace:
+    def test_sigterm_straight_after_the_listening_line_drains(
+            self, tmp_path):
+        """The handlers are in before the address is announced: a stop
+        sent the instant the line appears drains (exit 0) instead of
+        killing the server by default action under its pool workers."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        def group_members(pgid):
+            members = []
+            for entry in os.listdir("/proc"):
+                if not entry.isdigit():
+                    continue
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        fields = handle.read().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                if int(fields[2]) == pgid and fields[0] != "Z":
+                    members.append(int(entry))
+            return members
+
+        def segments():
+            return {name for name in os.listdir("/dev/shm")
+                    if name.startswith("psm_")}
+
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        shm_before = segments()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--profile", "smoke", "serve",
+             "--port", "0", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            os.kill(proc.pid, signal.SIGTERM)
+            assert "listening on" in line
+            out, err = proc.communicate(timeout=60.0)
+            assert proc.returncode == 0, err
+            assert "stopped" in out
+            deadline = time.monotonic() + 5.0
+            while group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)  # a resource tracker ends a moment later
+            assert group_members(proc.pid) == []
+            assert segments() <= shm_before
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(10.0)
