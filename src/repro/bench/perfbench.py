@@ -759,6 +759,7 @@ def run_bench(json_path=None, query="3D_Q91", profile=None, workers=4,
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
+            "numpy": np.__version__,
         },
         "parallel_speedup_achievable": (os.cpu_count() or 1) > 1,
         "ess_mode": ess_mode,

@@ -19,14 +19,16 @@ import numpy as np
 
 from repro.core.spill_bound import SpillBound
 from repro.engine.spill import execute_plan, spill_root_key
+from repro.engine.vector import _apply_filters
 from repro.errors import DiscoveryError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 
 #: Memo for measured selectivities: data provider -> {(query name, pred
-#: name): selectivity}.  Keyed weakly on the provider so dropping a
-#: DataGenerator frees its entries; repeated wall-clock runs over the
-#: same instance then recover qa without re-scanning the joins.
+#: name, the filters on both sides): selectivity}.  Keyed weakly on the
+#: provider so dropping a DataGenerator frees its entries; repeated
+#: wall-clock runs over the same instance then recover qa without
+#: re-scanning the joins.
 _MEASURED_CACHE = WeakKeyDictionary()
 
 
@@ -35,46 +37,31 @@ def measured_join_selectivity(data_provider, query, pred):
 
     ``|L_f JOIN R_f| / (|L_f| * |R_f|)`` with the query's filters applied
     to both sides — the quantity the ESS axes range over.  Results are
-    memoized per (data provider, query, predicate).
+    memoized per (data provider, query, predicate, filters).
     """
     try:
         memo = _MEASURED_CACHE.setdefault(data_provider, {})
     except TypeError:  # provider not weak-referenceable: skip the memo
         memo = {}
-    memo_key = (query.name, pred.name)
+    memo_key = (query.name, pred.name) + tuple(
+        f.describe() for table in pred.tables
+        for f in query.filters_on(table))
     if memo_key in memo:
         return memo[memo_key]
-    counts = []
-    sizes = []
+    keys, freqs = [], []
     for table in pred.tables:
         data = data_provider.table(table)
-        column = data.column(pred.column_for(table))
-        mask = np.ones(len(column), dtype=bool)
-        for f in query.filters_on(table):
-            values = data.column(f.column)
-            if f.op == "=":
-                mask &= values == f.value
-            elif f.op == "<":
-                mask &= values < f.value
-            elif f.op == "<=":
-                mask &= values <= f.value
-            elif f.op == ">":
-                mask &= values > f.value
-            elif f.op == ">=":
-                mask &= values >= f.value
-            else:
-                low, high = f.value
-                mask &= (values >= low) & (values <= high)
-        kept = column[mask]
-        sizes.append(len(kept))
-        uniques, freq = np.unique(kept, return_counts=True)
-        counts.append(dict(zip(uniques.tolist(), freq.tolist())))
-    if 0 in sizes:
-        memo[memo_key] = 0.0
-        return 0.0
-    small, large = sorted(counts, key=len)
-    matches = sum(freq * large.get(key, 0) for key, freq in small.items())
-    selectivity = matches / (sizes[0] * sizes[1])
+        kept = _apply_filters(data, query.filters_on(table))
+        uniques, freq = np.unique(data.column(pred.column_for(table))[kept],
+                                  return_counts=True)
+        keys.append(uniques)
+        freqs.append(freq)
+    _, left, right = np.intersect1d(*keys, assume_unique=True,
+                                    return_indices=True)
+    # Python ints: the quotient is the correctly rounded true ratio.
+    matches = int((freqs[0][left] * freqs[1][right]).sum())
+    pairs = int(freqs[0].sum()) * int(freqs[1].sum())
+    selectivity = matches / pairs if pairs else 0.0
     memo[memo_key] = selectivity
     return selectivity
 

@@ -34,25 +34,9 @@ from repro.errors import BudgetExhausted, ExecutionError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.optimizer import plans as planlib
-from repro.perf.timers import TIMERS
 
 #: Engine names accepted by :func:`execute_plan`.
 ENGINES = ("auto", "vector", "volcano")
-
-
-def _join_key_pairs(node):
-    """Per-side ``(table, column)`` key lists for a join node."""
-    outer_tables = node.outer.tables
-    outer_keys, inner_keys = [], []
-    for pred in node.applied_preds:
-        left, right = pred.tables
-        if left in outer_tables:
-            outer_keys.append((left, pred.column_for(left)))
-            inner_keys.append((right, pred.column_for(right)))
-        else:
-            outer_keys.append((right, pred.column_for(right)))
-            inner_keys.append((left, pred.column_for(left)))
-    return outer_keys, inner_keys
 
 
 def _build_operator(node, query, data_provider, model, meter, stats_sink):
@@ -65,7 +49,7 @@ def _build_operator(node, query, data_provider, model, meter, stats_sink):
 
     outer = _build_operator(node.outer, query, data_provider, model, meter,
                             stats_sink)
-    key_pairs = _join_key_pairs(node)
+    key_pairs = node.key_pairs()
     if node.op == planlib.INDEX_NL_JOIN:
         if len(node.applied_preds) != 1:
             raise ExecutionError(
@@ -162,7 +146,7 @@ def execute_plan(plan, query, data_provider, cost_model, budget=None,
                 exec_span.set_attr("completed", outcome.completed)
                 return outcome
             except vector.VectorFallback:
-                TIMERS.incr("vector_fallback")
+                REGISTRY.incr("vector_fallback")
                 exec_span.set_attr("vector_fallback", True)
         meter = CostMeter(budget)
         stats_sink = {}

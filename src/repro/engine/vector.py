@@ -21,9 +21,25 @@ assembled compositionally:
 
 * each operator contributes its own charges plus, for every row a child
   yields, a consumption block spliced in at the yield position
-  (:func:`_splice` computes the interleaving with cumsum arithmetic);
-* every run-time monitor increment becomes a *stat event* carrying the
-  number of completed charges required before it fires;
+  (:func:`_splice`: the blocks are one fill value, the child's charges
+  land on the complement of one boolean in-block mask, and the consumer
+  overwrites the few block charges that differ);
+* every run-time monitor increment is a *stat event* carrying the
+  number of completed charges required before it fires.  Events are
+  never moved: they stay in the coordinates of the subtree that emitted
+  them, on that subtree's :class:`_Frame`, and each splice or shift only
+  records *where* it put the subtree (``yields``, ``prefix_b``,
+  ``offset``).  A completed run reads every count off an array size; a
+  killed run pulls the one scalar kill index down the operator tree —
+  the splice map is strictly increasing, so it inverts with one
+  ``searchsorted`` per frame — and truncates each event locally;
+* rows are materialised late: a stream carries per-table row-id vectors
+  (:class:`_Rows`), composed through a join's match selector only when
+  an operator above reads one of that table's key columns, so scans copy
+  no table, joins gather only the keys they compare, and the root's
+  output is never gathered at all;
+* joins sort their build side once and probe it (:func:`_probe`) —
+  direct-addressed when the key column is dense non-negative integers;
 * budget enforcement is a cumulative sum over the stream (numpy's
   ``cumsum`` accumulates sequentially, so partial sums are bit-identical
   to the meter's one-at-a-time additions) plus a ``searchsorted`` for
@@ -54,7 +70,6 @@ from repro.engine.executor import ExecutionOutcome, OperatorStats
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
 from repro.optimizer import plans as planlib
-from repro.perf.timers import TIMERS
 
 #: Ceiling on the number of micro-charges the engine will materialize
 #: for one execution; streams that would exceed it (quadratic
@@ -62,15 +77,13 @@ from repro.perf.timers import TIMERS
 #: Volcano interpreter instead of exhausting memory.
 MAX_CHARGES = int(os.environ.get("REPRO_VECTOR_MAX_CHARGES", 1 << 25))
 
-#: Pair-expansion chunk size for nested-loop joins: outer rows are
-#: processed in morsels of about this many candidate pairs so the
-#: boolean match matrix never exceeds a few MB at a time.
-MORSEL_PAIRS = 1 << 22
-
 #: Kill-scan chunk: the budget crossing search cumsums the stream in
 #: morsels of this many charges (with an exact scalar carry between
 #: chunks) so killed runs stop scanning shortly past the budget.
 MORSEL_CHARGES = 1 << 20
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_BLOCKS = np.zeros(1, dtype=np.int64)
 
 
 class VectorFallback(Exception):
@@ -84,6 +97,89 @@ def _cumsum0(values):
     return out
 
 
+class _Frame:
+    """Stat events of one operator subtree, in that subtree's coordinates.
+
+    ``events`` are the subtree root's own ``(node_key, field, reqs,
+    deltas)``: the counter gains ``deltas[j]`` (1 each when ``deltas``
+    is None) once ``reqs[j]`` of the subtree's charges have completed.
+    ``children`` are the input subtrees' frames.  The consumer records
+    where it put this subtree's charges with :meth:`place` — requirement
+    ``r`` lands at ``r + prefix_b[#{yields < r}] + offset`` of the
+    consumer's stream — and :meth:`tally` inverts that map for the one
+    kill index instead of mapping every event up.
+    """
+
+    __slots__ = ("events", "children", "yields", "prefix_b", "offset")
+
+    def __init__(self, events, children=()):
+        self.events = events
+        self.children = list(children)
+        self.place(0)
+
+    def place(self, offset, yields=_NO_ROWS, prefix_b=_NO_BLOCKS):
+        self.offset, self.yields, self.prefix_b = offset, yields, prefix_b
+
+    def pull_down(self, kill):
+        """The largest local ``r`` whose image is ``<= kill`` (negative
+        when the kill precedes this subtree's first charge)."""
+        k = kill - self.offset
+        starts = self.yields + self.prefix_b[:-1]  # a block opens at its yield
+        m = int(np.searchsorted(starts, k, side="right"))
+        if m == 0:
+            return k
+        return max(int(self.yields[m - 1]), k - int(self.prefix_b[m]))
+
+    def tally(self, kill, stats):
+        """Add this subtree's monitor counts, as of ``kill`` completed
+        charges of the consumer's stream (None: ran to completion)."""
+        if kill is not None:
+            kill = self.pull_down(kill)
+        for key, field, reqs, deltas in self.events:
+            fired = (reqs.size if kill is None
+                     else int(np.searchsorted(reqs, kill, side="right")))
+            count = fired if deltas is None else int(deltas[:fired].sum())
+            setattr(stats[key], field, getattr(stats[key], field) + count)
+        for child in self.children:
+            child.tally(kill, stats)
+
+
+class _Rows:
+    """Late-materialised output rows: per-table row-id vectors.
+
+    A scan knows its ids outright; a join's ids are an input's ids taken
+    at the join's match selector, composed only when an operator above
+    asks for one of that table's key columns.
+    """
+
+    __slots__ = ("tables", "parts", "ids")
+
+    def __init__(self, tables=(), parts=(), ids=None):
+        self.tables = dict(tables)  # table name -> TableData
+        self.parts = parts  # ((input rows, selector into them), ...)
+        for rows, _ in parts:
+            self.tables.update(rows.tables)
+        self.ids = {} if ids is None else ids
+
+    def require(self, node_key, table, column):
+        """Raise unless ``table.column`` can be read from these rows."""
+        if (table not in self.tables
+                or column not in self.tables[table].columns):
+            raise ExecutionError(
+                f"operator {node_key}: no column {table}.{column}"
+            )
+
+    def row_ids(self, table):
+        if table not in self.ids:
+            rows, selector = next(p for p in self.parts
+                                  if table in p[0].tables)
+            self.ids[table] = rows.row_ids(table)[selector]
+        return self.ids[table]
+
+    def column(self, table, column):
+        return self.tables[table].column(column)[self.row_ids(table)]
+
+
 class _Stream:
     """The reconstructed micro-charge stream of one operator subtree.
 
@@ -93,33 +189,27 @@ class _Stream:
         yields: int64 array, strictly increasing; ``yields[i]`` is the
             number of completed charges at which output row ``i`` is
             handed to the consumer.
-        events: list of ``(node_key, field, reqs, deltas)`` stat events;
-            the counter gains ``deltas[j]`` (1 each when ``deltas`` is
-            None) once ``reqs[j]`` charges have completed.
-        columns: list of numpy arrays, the output rows (only the rows
-            yielded before any truncation point).
-        layout: tuple of ``(table, column)`` pairs naming ``columns``.
+        frame: the subtree's stat events (:class:`_Frame`).
+        rows: the output rows (:class:`_Rows`; only the rows yielded
+            before any truncation point).
         truncated: True when construction stopped early because the
             budget cap was crossed — the stream is then an exact
             *prefix* of the true charge sequence, expected (but not
             required) to contain the kill point.
     """
 
-    __slots__ = ("charges", "yields", "events", "columns", "layout",
-                 "truncated")
+    __slots__ = ("charges", "yields", "frame", "rows", "truncated")
 
-    def __init__(self, charges, yields, events, columns, layout,
-                 truncated=False):
+    def __init__(self, charges, yields, frame, rows, truncated=False):
         self.charges = charges
         self.yields = yields
-        self.events = events
-        self.columns = columns
-        self.layout = layout
+        self.frame = frame
+        self.rows = rows
         self.truncated = truncated
 
 
 class _BuildContext:
-    """Tracks the charge mass built so far and enforces the ceilings.
+    """Counts the charges built so far and enforces the ceilings.
 
     ``cap`` is the budget inflated by a 1%-plus-constant safety margin
     (float cumsum error over any realistic stream is orders of magnitude
@@ -128,26 +218,19 @@ class _BuildContext:
     ``MAX_CHARGES`` bounds memory regardless of budget.
     """
 
-    __slots__ = ("cap", "spent", "count")
+    __slots__ = ("cap", "count")
 
     def __init__(self, budget):
         self.cap = (float("inf") if budget is None
                     else float(budget) * 1.01 + 256.0)
-        self.spent = 0.0
         self.count = 0
 
-    def add(self, total, count):
-        self.spent += float(total)
+    def add(self, count):
+        """Account ``count`` more charges, *before* allocating them."""
         self.count += int(count)
         if self.count > MAX_CHARGES:
             raise VectorFallback(
                 f"charge stream exceeds {MAX_CHARGES} micro-charges"
-            )
-
-    def check_count(self, extra):
-        if self.count + int(extra) > MAX_CHARGES:
-            raise VectorFallback(
-                f"charge stream would exceed {MAX_CHARGES} micro-charges"
             )
 
     def row_cut(self, per_row_charges, base):
@@ -181,96 +264,77 @@ def _probe_cut(ctx, local_before, outer_s, per_row):
     mass that actually lands *after* this phase — could cut the prefix
     short of the kill point and force a Volcano fallback.
     """
-    n = int(len(per_row))
-    if ctx.cap == float("inf") or n == 0:
-        return n
-    out_cum = np.concatenate(([0.0], np.cumsum(outer_s.charges)))
-    mass = local_before + out_cum[outer_s.yields] + np.cumsum(per_row)
-    if mass[-1] <= ctx.cap:
-        return n
-    return int(np.searchsorted(mass, ctx.cap, side="right")) + 1
+    if ctx.cap == float("inf") or len(per_row) == 0:
+        return len(per_row)
+    before_yield = np.cumsum(outer_s.charges)[outer_s.yields - 1]
+    return ctx.row_cut(per_row, local_before + before_yield)
 
 
 # ----------------------------------------------------------------------
 # Stream composition
 # ----------------------------------------------------------------------
 
-def _splice(child, block_sizes, blocks_flat, offset):
-    """Insert per-yield consumption blocks into a child's stream.
+def _splice(lead, child, block_sizes, fill):
+    """Append a child's stream, with per-yield consumption blocks, to
+    the consumer's ``lead`` charges.
 
     The consumer receives child row ``i`` after ``child.yields[i]``
     charges and immediately issues ``block_sizes[i]`` charges of its own
-    (``blocks_flat`` holds them row-major).  Returns the combined charge
-    segment plus, in final-stream coordinates (``offset`` = number of
-    charges preceding the segment):
-
-    * ``block_starts`` — index of each block's first charge;
-    * ``map_req`` — maps a child-coordinate stat requirement to its
-      final-stream value (events with ``req == yields[i]`` fire before
-      block ``i``, exactly as the interpreter's post-charge increments
-      precede the consumer's resumption).
+    — ``fill`` each; the caller overwrites the few that differ.
+    ``block_sizes`` may cover only the leading yields: the stream then
+    stops at the first yield without a block, so it stays an exact
+    prefix (the true stream has a block there).  Records the placement
+    on the child's frame (events with ``req == yields[i]`` fire before
+    block ``i``, exactly as the interpreter's post-charge increments
+    precede the consumer's resumption) and returns the combined charges
+    plus the index of each block's first charge.
     """
-    y = child.yields
-    b = np.asarray(block_sizes, dtype=np.int64)
-    prefix_b = _cumsum0(b)
-    m = child.charges.size
-    out = np.empty(m + int(prefix_b[-1]), dtype=np.float64)
-    if m:
-        # yields_before[j] = #{i : y[i] <= j}, the searchsorted result,
-        # via a linear bincount scan (y is strictly increasing in [1, m]).
-        yields_before = np.cumsum(np.bincount(y, minlength=m + 1))[:m]
-        out[np.arange(m, dtype=np.int64)
-            + prefix_b[yields_before]] = child.charges
-    block_starts = y + prefix_b[:-1]
-    if blocks_flat.size:
-        within = (np.arange(blocks_flat.size, dtype=np.int64)
-                  - np.repeat(prefix_b[:-1], b))
-        out[np.repeat(block_starts, b) + within] = blocks_flat
-
-    def map_req(req):
-        return req + prefix_b[np.searchsorted(y, req, side="left")] + offset
-
-    return out, block_starts + offset, map_req
+    n = block_sizes.size
+    y = child.yields[:n]
+    kept = child.charges.size if n == child.yields.size \
+        else int(child.yields[n])
+    prefix_b = _cumsum0(block_sizes)
+    offset = len(lead)
+    out = np.full(offset + kept + int(prefix_b[-1]), fill, dtype=np.float64)
+    out[:offset] = lead
+    # Block charge ``j`` (row-major) sits ``j`` block charges and
+    # ``y[its row]`` child charges into the segment; the child's charges
+    # take every other position, in order.
+    block_pos = np.repeat(y, block_sizes)
+    block_pos += np.arange(block_pos.size, dtype=np.int64)
+    is_child = np.ones(out.size - offset, dtype=bool)
+    is_child[block_pos] = False
+    out[offset:][np.flatnonzero(is_child)] = child.charges[:kept]
+    child.frame.place(offset, y, prefix_b)
+    return out, y + prefix_b[:-1] + offset
 
 
-def _mapped_events(events, map_req):
-    return [(key, field, map_req(reqs), deltas)
-            for key, field, reqs, deltas in events]
+def _join_refs(node, outer_rows, inner_rows):
+    """A join's per-side key references, each checked against the rows
+    it will be read from."""
+    outer_refs, inner_refs = node.key_pairs()
+    for ref in outer_refs:
+        outer_rows.require(node.key, *ref)
+    for ref in inner_refs:
+        inner_rows.require(node.key, *ref)
+    return outer_refs, inner_refs
 
 
-def _shifted_events(events, offset):
-    return [(key, field, reqs + offset, deltas)
-            for key, field, reqs, deltas in events]
-
-
-def _col_index(layout, node_key, table, column):
-    try:
-        return layout.index((table, column))
-    except ValueError:
-        raise ExecutionError(
-            f"operator {node_key}: no column {table}.{column}"
-        ) from None
-
-
-def _join_key_indices(node, outer_layout, inner_layout):
-    """Per-side column positions for a join node's key pairs."""
-    outer_tables = node.outer.tables
-    outer_idx, inner_idx = [], []
-    for pred in node.applied_preds:
-        left, right = pred.tables
-        if left in outer_tables:
-            o_ref, i_ref = (left, pred.column_for(left)), \
-                (right, pred.column_for(right))
-        else:
-            o_ref, i_ref = (right, pred.column_for(right)), \
-                (left, pred.column_for(left))
-        outer_idx.append(_col_index(outer_layout, node.key, *o_ref))
-        inner_idx.append(_col_index(inner_layout, node.key, *i_ref))
-    return outer_idx, inner_idx
+def _join_keys(outer_rows, outer_refs, inner_rows, inner_refs):
+    """One key vector per side; a composite key becomes dense ids that
+    keep the tuple order (equal tuples share an id across sides)."""
+    outer = [outer_rows.column(*ref) for ref in outer_refs]
+    inner = [inner_rows.column(*ref) for ref in inner_refs]
+    if len(outer) == 1:
+        return outer[0], inner[0]
+    both = np.stack([np.concatenate(pair) for pair in zip(outer, inner)],
+                    axis=1)
+    ids = np.unique(both, axis=0, return_inverse=True)[1].reshape(-1)
+    return ids[:outer[0].size], ids[outer[0].size:]
 
 
 # ----------------------------------------------------------------------
-# Vectorized predicates and key grouping
+# Vectorized predicates and key matching
 # ----------------------------------------------------------------------
 
 def _filter_mask(op, values, constant):
@@ -290,418 +354,285 @@ def _filter_mask(op, values, constant):
     raise ExecutionError(f"unsupported filter op {op!r}")
 
 
-def _apply_filters(arrays, names, filters, num_rows):
-    mask = np.ones(num_rows, dtype=bool)
+def _apply_filters(data, filters, rows=None):
+    """Conjunction of ``filters`` over a table's rows (all, or the
+    ``rows`` subset) — only the filtered columns are read."""
+    mask = np.ones(data.num_rows if rows is None else rows.size, dtype=bool)
     for f in filters:
-        mask &= _filter_mask(f.op, arrays[names.index(f.column)], f.value)
+        values = data.column(f.column)
+        mask &= _filter_mask(f.op, values if rows is None else values[rows],
+                             f.value)
     return mask
 
 
-def _group_ids(left_cols, right_cols):
-    """Consistent group ids: equal key tuples share an id across sides."""
-    n_left = left_cols[0].size
-    if len(left_cols) == 1:
-        combined = np.concatenate((left_cols[0], right_cols[0]))
-        _, inverse = np.unique(combined, return_inverse=True)
-    else:
-        combined = np.stack(
-            [np.concatenate((a, b)) for a, b in zip(left_cols, right_cols)],
-            axis=1,
-        )
-        _, inverse = np.unique(combined, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int64, copy=False)
-    return inverse[:n_left], inverse[n_left:]
+def _probe(build, probe):
+    """Sort the build side once and probe it.
+
+    Returns ``(order, starts, counts)``: the build rows in stable key
+    order (insertion order within a key — the interpreter's bucket
+    order) and, per probe row, where its run of matches starts in
+    ``order`` and how long it is.  A dense non-negative integer build
+    column is addressed directly through per-key count tables; any other
+    is binary-searched in its sorted form.
+    """
+    order = np.argsort(build, kind="stable")
+    if (build.size and build.dtype.kind == probe.dtype.kind == "i"
+            and build.min() >= 0
+            and build.max() <= 4 * (build.size + probe.size)):
+        per_key = np.append(np.bincount(build), 0)
+        # Keys outside the table land on the spare last slot (count 0).
+        slot = np.clip(probe, -1, per_key.size - 1)
+        return order, _cumsum0(per_key)[:-1][slot], per_key[slot]
+    keys = build[order]
+    starts = np.searchsorted(keys, probe, side="left")
+    return order, starts, np.searchsorted(keys, probe, side="right") - starts
 
 
-def _match_counts(gid_probe, gid_build):
-    """Per probe row: how many build rows share its key (plus lookup
-    tables for the row-major expansion)."""
-    n_groups = int(max(gid_probe.max(initial=-1),
-                       gid_build.max(initial=-1))) + 1
-    build_order = np.argsort(gid_build, kind="stable")
-    group_counts = np.bincount(gid_build, minlength=max(n_groups, 1))
-    group_starts = _cumsum0(group_counts)[:-1]
-    counts = (group_counts[gid_probe].astype(np.int64, copy=False)
-              if gid_probe.size else np.zeros(0, dtype=np.int64))
-    return counts, group_starts, build_order
-
-
-def _expand_matches(gid_probe, counts, group_starts, build_order):
+def _expand_matches(starts, counts, order):
     """Row-major ``(probe_row, build_row)`` match pairs, build rows in
     original (insertion) order within each probe row — the hash-table
     bucket order of the interpreter."""
-    total = int(counts.sum())
     rep = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
+    within = np.arange(rep.size, dtype=np.int64) - np.repeat(
         _cumsum0(counts)[:-1], counts)
-    flat = build_order[group_starts[gid_probe[rep]] + within]
-    return rep, within, flat
+    return rep, within, order[starts[rep] + within]
 
 
 # ----------------------------------------------------------------------
 # Operator stream builders
 # ----------------------------------------------------------------------
 
-def _empty_columns(layout):
-    return [np.empty(0, dtype=np.int64) for _ in layout]
+def _truncated_stream(charges, frame, *inputs):
+    """A stream cut before its first output row."""
+    return _Stream(charges, _NO_ROWS, frame,
+                   _Rows(parts=tuple((s.rows, _NO_ROWS) for s in inputs)),
+                   truncated=True)
+
+
+def _scan_stream(table_name, data, candidates, mask, lead, unit, model, ctx,
+                 key):
+    """``lead`` one-off charges, then per candidate row a ``unit`` charge
+    plus an output charge when it passes ``mask``."""
+    n = mask.size
+    total = len(lead) + n + int(np.count_nonzero(mask))
+    ctx.add(total)
+    passes_before = np.cumsum(mask) - mask  # exclusive per-row pass count
+    unit_pos = len(lead) + np.arange(n, dtype=np.int64) + passes_before
+    charges = np.full(total, unit, dtype=np.float64)
+    charges[:len(lead)] = lead
+    yields = unit_pos[mask] + 2
+    charges[yields - 1] = model.output_tuple
+    frame = _Frame([(key, "rows_outer", unit_pos + 1, None),
+                    (key, "rows_out", yields, None)])
+    ids = np.flatnonzero(mask) if candidates is None else candidates[mask]
+    return _Stream(charges, yields, frame,
+                   _Rows({table_name: data}, ids={table_name: ids}))
 
 
 def _seq_scan_stream(table_name, data, filters, model, ctx, key):
-    names = list(data.columns)
-    arrays = [data.column(n) for n in names]
-    n = data.num_rows
-    ctx.check_count(1 + 2 * n)
-    mask = _apply_filters(arrays, names, filters, n)
-    n_pass = int(mask.sum())
-    passes_before = np.cumsum(mask) - mask  # exclusive per-row pass count
-    seq_pos = 1 + np.arange(n, dtype=np.int64) + passes_before
-    total = 1 + n + n_pass
-    charges = np.empty(total, dtype=np.float64)
-    charges[0] = model.startup
-    charges[seq_pos] = model.seq_tuple
-    out_pos = seq_pos[mask] + 1
-    charges[out_pos] = model.output_tuple
-    yields = out_pos + 1
-    events = [
-        (key, "rows_outer", seq_pos + 1, None),
-        (key, "rows_out", out_pos + 1, None),
-    ]
-    ctx.add(model.startup + model.seq_tuple * n + model.output_tuple * n_pass,
-            total)
-    columns = [arr[mask] for arr in arrays]
-    layout = tuple((table_name, c) for c in names)
-    return _Stream(charges, yields, events, columns, layout)
+    return _scan_stream(table_name, data, None, _apply_filters(data, filters),
+                        [model.startup], model.seq_tuple, model, ctx, key)
 
 
 def _index_scan_stream(table_name, data, filters, model, ctx, key):
-    names = list(data.columns)
-    arrays = [data.column(n) for n in names]
-    indexed = [f for f in filters if f.op == "=" and f.column in names]
+    indexed = [f for f in filters if f.op == "=" and f.column in data.columns]
     if not indexed:
         # The interpreter's fallback re-enters SeqScan.rows(), which
         # charges its own startup — the double charge is reproduced.
-        ctx.add(model.startup, 1)
+        ctx.add(1)
         sub = _seq_scan_stream(table_name, data, filters, model, ctx, key)
-        charges = np.concatenate(([model.startup], sub.charges))
-        return _Stream(charges, sub.yields + 1, _shifted_events(sub.events, 1),
-                       sub.columns, sub.layout, sub.truncated)
+        sub.frame.place(1)
+        return _Stream(np.concatenate(([model.startup], sub.charges)),
+                       sub.yields + 1, _Frame([], [sub.frame]), sub.rows)
     lead = indexed[0]
-    matches = np.flatnonzero(arrays[names.index(lead.column)] == lead.value)
-    residual = [f for f in filters if f is not lead]
-    gathered = [arr[matches] for arr in arrays]
-    m = matches.size
-    ctx.check_count(2 + 2 * m)
-    mask = _apply_filters(gathered, names, residual, m)
-    n_pass = int(mask.sum())
+    matches = np.flatnonzero(data.column(lead.column) == lead.value)
+    mask = _apply_filters(data, [f for f in filters if f is not lead],
+                          matches)
     descend = model.index_lookup * math.log2(max(data.num_rows, 2))
-    passes_before = np.cumsum(mask) - mask
-    fetch_pos = 2 + np.arange(m, dtype=np.int64) + passes_before
-    total = 2 + m + n_pass
-    charges = np.empty(total, dtype=np.float64)
-    charges[0] = model.startup
-    charges[1] = descend
-    charges[fetch_pos] = model.index_fetch
-    out_pos = fetch_pos[mask] + 1
-    charges[out_pos] = model.output_tuple
-    yields = out_pos + 1
-    events = [
-        (key, "rows_outer", fetch_pos + 1, None),
-        (key, "rows_out", out_pos + 1, None),
-    ]
-    ctx.add(model.startup + descend + model.index_fetch * m
-            + model.output_tuple * n_pass, total)
-    columns = [arr[mask] for arr in gathered]
-    layout = tuple((table_name, c) for c in names)
-    return _Stream(charges, yields, events, columns, layout)
+    return _scan_stream(table_name, data, matches, mask,
+                        [model.startup, descend], model.index_fetch, model,
+                        ctx, key)
 
 
 def _hash_join_stream(node, outer_s, inner_s, model, ctx, key):
-    layout = outer_s.layout + inner_s.layout
-    outer_idx, inner_idx = _join_key_indices(node, outer_s.layout,
-                                             inner_s.layout)
-    ctx.add(model.startup, 1)
+    refs = _join_refs(node, outer_s.rows, inner_s.rows)
 
     # Build phase: one hash_build charge per inner row, at its yield.
     n_inner = inner_s.yields.size
-    build_blocks = np.full(n_inner, model.hash_build)
-    ctx.add(model.hash_build * n_inner, n_inner)
-    build_seg, build_starts, map_inner = _splice(
-        inner_s, np.ones(n_inner, dtype=np.int64), build_blocks, 1)
-    events = _mapped_events(inner_s.events, map_inner)
-    events.append((key, "rows_inner", build_starts + 1, None))
-    local_before = model.startup + float(build_seg.sum())
+    ctx.add(1 + n_inner)
+    charges, build_starts = _splice(
+        [model.startup], inner_s, np.ones(n_inner, dtype=np.int64),
+        model.hash_build)
+    frame = _Frame([(key, "rows_inner", build_starts + 1, None)],
+                   [inner_s.frame])
+    local_before = float(charges.sum())
     if inner_s.truncated or local_before > ctx.cap:
-        charges = np.concatenate(([model.startup], build_seg))
-        return _Stream(charges, np.empty(0, dtype=np.int64), events,
-                       _empty_columns(layout), layout, truncated=True)
+        return _truncated_stream(charges, frame, outer_s, inner_s)
 
     # Probe phase: per outer row a hash_probe then an output_tuple per
     # bucket match (insertion order = inner row order).
-    probe_offset = 1 + build_seg.size
-    n_outer = outer_s.yields.size
-    gid_outer, gid_inner = _group_ids(
-        [outer_s.columns[i] for i in outer_idx],
-        [inner_s.columns[i] for i in inner_idx],
-    )
-    counts, group_starts, build_order = _match_counts(gid_outer, gid_inner)
+    outer_keys, inner_keys = _join_keys(outer_s.rows, refs[0],
+                                        inner_s.rows, refs[1])
+    order, starts, counts = _probe(inner_keys, outer_keys)
     per_row = model.hash_probe + model.output_tuple * counts
     cut = _probe_cut(ctx, local_before, outer_s, per_row)
-    truncated = outer_s.truncated or cut < n_outer
-    counts = counts.copy()
-    counts[cut:] = 0
-    block_sizes = 1 + counts
-    block_sizes[cut:] = 0
-    flat_total = int(block_sizes.sum())
-    ctx.check_count(flat_total)
-    blocks = np.full(flat_total, model.output_tuple)
-    blocks[_cumsum0(block_sizes)[:-1][:cut]] = model.hash_probe
-    ctx.add(float(per_row[:cut].sum()), flat_total)
-    probe_seg, probe_starts, map_outer = _splice(
-        outer_s, block_sizes, blocks, probe_offset)
-    if cut < n_outer:
-        # Cut at the yield of the first dropped row so the stream stays
-        # an exact prefix (the true stream has a probe block there).
-        probe_seg = probe_seg[:int(outer_s.yields[cut]) + flat_total]
-    events.extend(_mapped_events(outer_s.events, map_outer))
-    events.append((key, "rows_outer", probe_starts[:cut] + 1, None))
-    rep, within, flat_inner = _expand_matches(
-        gid_outer[:cut], counts[:cut], group_starts, build_order)
-    out_req = probe_starts[rep] + within + 2
-    events.append((key, "rows_out", out_req, None))
-    charges = np.concatenate(([model.startup], build_seg, probe_seg))
-    columns = ([arr[rep] for arr in outer_s.columns]
-               + [arr[flat_inner] for arr in inner_s.columns])
-    return _Stream(charges, out_req, events, columns, layout, truncated)
+    starts, counts = starts[:cut], counts[:cut]
+    ctx.add(cut + counts.sum())
+    charges, probe_starts = _splice(charges, outer_s, 1 + counts,
+                                    model.output_tuple)
+    charges[probe_starts] = model.hash_probe
+    frame.children.append(outer_s.frame)
+    frame.events.append((key, "rows_outer", probe_starts + 1, None))
+    rep, within, flat_inner = _expand_matches(starts, counts, order)
+    yields = probe_starts[rep] + within + 2
+    frame.events.append((key, "rows_out", yields, None))
+    rows = _Rows(parts=((outer_s.rows, rep), (inner_s.rows, flat_inner)))
+    return _Stream(charges, yields, frame, rows,
+                   outer_s.truncated or cut < outer_s.yields.size)
 
 
 def _merge_join_stream(node, outer_s, inner_s, model, ctx, key):
-    layout = outer_s.layout + inner_s.layout
-    outer_idx, inner_idx = _join_key_indices(node, outer_s.layout,
-                                             inner_s.layout)
+    refs = _join_refs(node, outer_s.rows, inner_s.rows)
     segments = [np.array([model.startup])]
-    events = []
+    frame = _Frame([])
     offset = 1
     local = model.startup  # this node's stream mass built so far
-    ctx.add(model.startup, 1)
-    sorted_sides = []
-    for child, idx, field in (
-            (outer_s, outer_idx, "rows_outer"),
-            (inner_s, inner_idx, "rows_inner")):
+    ctx.add(1)
+    for child, field in ((outer_s, "rows_outer"), (inner_s, "rows_inner")):
         # Drain (uncharged per row, monitored at each yield), then one
         # sort charge covering the whole materialized side.
         segments.append(child.charges)
-        events.extend(_shifted_events(child.events, offset))
-        events.append((key, field, child.yields + offset, None))
+        child.frame.place(offset)
+        frame.children.append(child.frame)
+        frame.events.append((key, field, child.yields + offset, None))
         offset += child.charges.size
         local += float(child.charges.sum())
         if child.truncated:
-            return _Stream(np.concatenate(segments),
-                           np.empty(0, dtype=np.int64), events,
-                           _empty_columns(layout), layout, truncated=True)
+            return _truncated_stream(np.concatenate(segments), frame,
+                                     outer_s, inner_s)
         n_side = child.yields.size
-        per_row = model.sort_unit * math.log2(max(n_side, 2))
-        sort_charge = per_row * n_side
+        sort_charge = model.sort_unit * math.log2(max(n_side, 2)) * n_side
         segments.append(np.array([sort_charge]))
-        ctx.add(sort_charge, 1)
+        ctx.add(1)
         offset += 1
         local += sort_charge
-        order = (np.lexsort(tuple(child.columns[i] for i in reversed(idx)))
-                 if n_side else np.empty(0, dtype=np.int64))
-        sorted_sides.append((child, order))
         if local > ctx.cap:
-            return _Stream(np.concatenate(segments),
-                           np.empty(0, dtype=np.int64), events,
-                           _empty_columns(layout), layout, truncated=True)
+            return _truncated_stream(np.concatenate(segments), frame,
+                                     outer_s, inner_s)
 
-    (left, left_order), (right, right_order) = sorted_sides
-    merge_charge = model.merge_unit * (left_order.size + right_order.size)
+    n_left, n_right = outer_s.yields.size, inner_s.yields.size
+    merge_charge = model.merge_unit * (n_left + n_right)
     segments.append(np.array([merge_charge]))
-    ctx.add(merge_charge, 1)
+    ctx.add(1)
     offset += 1
     local += merge_charge
     if local > ctx.cap:
-        return _Stream(np.concatenate(segments),
-                       np.empty(0, dtype=np.int64), events,
-                       _empty_columns(layout), layout, truncated=True)
+        return _truncated_stream(np.concatenate(segments), frame, outer_s,
+                                 inner_s)
 
-    gid_left, gid_right = _group_ids(
-        [left.columns[i][left_order] for i in outer_idx],
-        [right.columns[i][right_order] for i in inner_idx],
-    )
-    counts, group_starts, build_order = _match_counts(gid_left, gid_right)
+    left_keys, right_keys = _join_keys(outer_s.rows, refs[0],
+                                       inner_s.rows, refs[1])
+    left_order = np.argsort(left_keys, kind="stable")
+    right_order, starts, counts = _probe(right_keys, left_keys[left_order])
     cut = ctx.row_cut(model.output_tuple * counts, local)
-    truncated = cut < counts.size
-    rep, _, flat_right = _expand_matches(
-        gid_left[:cut], counts[:cut], group_starts, build_order)
-    total_out = rep.size
-    ctx.check_count(total_out)
-    segments.append(np.full(total_out, model.output_tuple))
-    ctx.add(model.output_tuple * total_out, total_out)
-    yields = offset + 1 + np.arange(total_out, dtype=np.int64)
-    events.append((key, "rows_out", yields.copy(), None))
-    columns = ([arr[left_order][rep] for arr in left.columns]
-               + [arr[right_order][flat_right] for arr in right.columns])
-    return _Stream(np.concatenate(segments), yields, events, columns, layout,
-                   truncated)
+    rep, _, flat_right = _expand_matches(starts[:cut], counts[:cut],
+                                         right_order)
+    ctx.add(rep.size)
+    segments.append(np.full(rep.size, model.output_tuple))
+    yields = offset + 1 + np.arange(rep.size, dtype=np.int64)
+    frame.events.append((key, "rows_out", yields, None))
+    rows = _Rows(parts=((outer_s.rows, left_order[rep]),
+                        (inner_s.rows, flat_right)))
+    return _Stream(np.concatenate(segments), yields, frame, rows,
+                   cut < n_left)
 
 
 def _nl_join_stream(node, outer_s, inner_s, model, ctx, key):
-    layout = outer_s.layout + inner_s.layout
-    outer_idx, inner_idx = _join_key_indices(node, outer_s.layout,
-                                             inner_s.layout)
-    ctx.add(model.startup, 1)
+    refs = _join_refs(node, outer_s.rows, inner_s.rows)
+    ctx.add(1)
     # Inner side is materialized uncharged, monitored at each yield.
-    events = _shifted_events(inner_s.events, 1)
-    events.append((key, "rows_inner", inner_s.yields + 1, None))
-    probe_offset = 1 + inner_s.charges.size
-    local_before = model.startup + float(inner_s.charges.sum())
+    inner_s.frame.place(1)
+    frame = _Frame([(key, "rows_inner", inner_s.yields + 1, None)],
+                   [inner_s.frame])
+    charges = np.concatenate(([model.startup], inner_s.charges))
+    local_before = float(charges.sum())
     if inner_s.truncated or local_before > ctx.cap:
-        charges = np.concatenate(([model.startup], inner_s.charges))
-        return _Stream(charges, np.empty(0, dtype=np.int64), events,
-                       _empty_columns(layout), layout, truncated=True)
+        return _truncated_stream(charges, frame, outer_s, inner_s)
 
-    n_outer = outer_s.yields.size
+    # Probe phase: per outer row one nl_pair charge per inner row, with
+    # an output_tuple right after each matching pair.
     n_inner = inner_s.yields.size
-    gid_outer, gid_inner = _group_ids(
-        [outer_s.columns[i] for i in outer_idx],
-        [inner_s.columns[i] for i in inner_idx],
-    )
-    counts, _, _ = _match_counts(gid_outer, gid_inner)
+    outer_keys, inner_keys = _join_keys(outer_s.rows, refs[0],
+                                        inner_s.rows, refs[1])
+    order, starts, counts = _probe(inner_keys, outer_keys)
     per_row = model.nl_pair * n_inner + model.output_tuple * counts
     cut = _probe_cut(ctx, local_before, outer_s, per_row)
-    truncated = outer_s.truncated or cut < n_outer
-    counts = counts.copy()
-    counts[cut:] = 0
-    block_sizes = np.full(n_outer, n_inner, dtype=np.int64) + counts
-    block_sizes[cut:] = 0
-    flat_total = int(block_sizes.sum())
-    ctx.check_count(flat_total)
-    ctx.add(float(per_row[:cut].sum()), flat_total)
-
-    # Pair expansion in morsels: per kept outer row, one nl_pair charge
-    # per inner row with an output_tuple spliced in after each match.
-    blocks = np.empty(flat_total, dtype=np.float64)
-    rel_starts = _cumsum0(block_sizes)[:-1]
-    out_rel_chunks, out_row_chunks, out_inner_chunks = [], [], []
-    step = max(1, MORSEL_PAIRS // max(n_inner, 1))
-    for lo in range(0, cut, step):
-        hi = min(cut, lo + step)
-        match = gid_outer[lo:hi, None] == gid_inner[None, :]
-        pair_rel = (np.arange(n_inner, dtype=np.int64)[None, :]
-                    + np.cumsum(match, axis=1) - match)
-        base = rel_starts[lo:hi, None]
-        blocks[(base + pair_rel).ravel()] = model.nl_pair
-        rows_m, inner_m = np.nonzero(match)
-        out_rel = base[rows_m, 0] + pair_rel[rows_m, inner_m] + 1
-        blocks[out_rel] = model.output_tuple
-        out_rel_chunks.append(out_rel)
-        out_row_chunks.append(rows_m + lo)
-        out_inner_chunks.append(inner_m)
-    empty = np.empty(0, dtype=np.int64)
-    out_rel = np.concatenate(out_rel_chunks) if out_rel_chunks else empty
-    out_rows = np.concatenate(out_row_chunks) if out_row_chunks else empty
-    out_inner = np.concatenate(out_inner_chunks) if out_inner_chunks else empty
-
-    probe_seg, probe_starts, map_outer = _splice(
-        outer_s, block_sizes, blocks, probe_offset)
-    if cut < n_outer:
-        probe_seg = probe_seg[:int(outer_s.yields[cut]) + flat_total]
-    events.extend(_mapped_events(outer_s.events, map_outer))
+    starts, counts = starts[:cut], counts[:cut]
+    ctx.add(cut * n_inner + counts.sum())
+    charges, probe_starts = _splice(charges, outer_s, n_inner + counts,
+                                    model.nl_pair)
+    frame.children.append(outer_s.frame)
     # rows_outer increments *before* any pair charge of its block.
-    events.append((key, "rows_outer", probe_starts[:cut], None))
-    delta = probe_starts - rel_starts - probe_offset  # per-row splice shift
-    out_abs = out_rel + probe_offset + delta[out_rows]
-    yields = out_abs + 1
-    events.append((key, "rows_out", yields.copy(), None))
-    charges = np.concatenate(([model.startup], inner_s.charges, probe_seg))
-    columns = ([arr[out_rows] for arr in outer_s.columns]
-               + [arr[out_inner] for arr in inner_s.columns])
-    return _Stream(charges, yields, events, columns, layout, truncated)
+    frame.events.append((key, "rows_outer", probe_starts, None))
+    rep, within, flat_inner = _expand_matches(starts, counts, order)
+    # Match ``within`` of its row follows the pair charges of inner rows
+    # ``0..flat_inner`` and the row's earlier outputs.
+    yields = probe_starts[rep] + flat_inner + within + 2
+    charges[yields - 1] = model.output_tuple
+    frame.events.append((key, "rows_out", yields, None))
+    rows = _Rows(parts=((outer_s.rows, rep), (inner_s.rows, flat_inner)))
+    return _Stream(charges, yields, frame, rows,
+                   outer_s.truncated or cut < outer_s.yields.size)
 
 
 def _index_nl_join_stream(node, outer_s, query, data_provider, model, ctx,
                           key):
-    pred = node.applied_preds[0]
     inner_table = next(iter(node.inner.tables))
     data = data_provider.table(inner_table)
-    names = list(data.columns)
-    arrays = [data.column(n) for n in names]
-    layout = outer_s.layout + tuple((inner_table, c) for c in names)
-    left, right = pred.tables
-    outer_ref = ((left, pred.column_for(left)) if left in node.outer.tables
-                 else (right, pred.column_for(right)))
-    outer_key = _col_index(outer_s.layout, key, *outer_ref)
-    inner_col = pred.column_for(inner_table)
-    inner_filters = query.filters_on(inner_table)
-    residual_mask = _apply_filters(arrays, names, inner_filters,
-                                   data.num_rows)
-    inner_filtered = int(residual_mask.sum())
+    (outer_ref,), (inner_ref,) = _join_refs(node, outer_s.rows,
+                                            _Rows({inner_table: data}))
+    residual_mask = _apply_filters(data, query.filters_on(inner_table))
     descend = model.index_lookup * math.log2(max(data.num_rows, 2)) * 0.25
 
-    ctx.add(model.startup, 1)
+    ctx.add(1)
     # rows_inner is *assigned* (not incremented) right after startup;
     # the stats record starts at zero so a one-shot delta is identical.
     events = [(key, "rows_inner", np.array([1], dtype=np.int64),
-               np.array([inner_filtered], dtype=np.int64))]
-    n_outer = outer_s.yields.size
-    gid_outer, gid_table = _group_ids(
-        [outer_s.columns[outer_key]],
-        [arrays[names.index(inner_col)]],
-    )
-    counts, group_starts, table_order = _match_counts(gid_outer, gid_table)
-    pass_by_group = np.bincount(gid_table[residual_mask],
-                                minlength=max(group_starts.size, 1))
-    out_counts = (pass_by_group[gid_outer].astype(np.int64, copy=False)
-                  if gid_outer.size else np.zeros(0, dtype=np.int64))
+               np.array([np.count_nonzero(residual_mask)], dtype=np.int64))]
+    table_order, starts, counts = _probe(data.column(inner_ref[1]),
+                                         outer_s.rows.column(*outer_ref))
+    pass_cum = _cumsum0(residual_mask[table_order])
+    out_counts = pass_cum[starts + counts] - pass_cum[starts]
 
+    # Per outer row: the descend, then an index_fetch per candidate with
+    # an output_tuple right after each one that passes the filters.
     per_row = descend + model.index_fetch * counts \
         + model.output_tuple * out_counts
     cut = _probe_cut(ctx, model.startup, outer_s, per_row)
-    truncated = outer_s.truncated or cut < n_outer
-    counts = counts.copy()
-    counts[cut:] = 0
-    out_counts = out_counts.copy()
-    out_counts[cut:] = 0
-    block_sizes = 1 + counts + out_counts
-    block_sizes[cut:] = 0
-    flat_total = int(block_sizes.sum())
-    ctx.check_count(flat_total)
-    ctx.add(float(per_row[:cut].sum()), flat_total)
-
-    rep, within, flat_tbl = _expand_matches(
-        gid_outer[:cut], counts[:cut], group_starts, table_order)
-    passes = (residual_mask[flat_tbl] if flat_tbl.size
-              else np.empty(0, dtype=bool))
+    starts, counts = starts[:cut], counts[:cut]
+    block_sizes = 1 + counts + out_counts[:cut]
+    ctx.add(block_sizes.sum())
+    charges, probe_starts = _splice([model.startup], outer_s, block_sizes,
+                                    model.index_fetch)
+    charges[probe_starts] = descend
+    # rows_outer increments before the descend charge of its block.
+    events.append((key, "rows_outer", probe_starts, None))
+    rep, within, flat_tbl = _expand_matches(starts, counts, table_order)
+    passes = residual_mask[flat_tbl]
     # Per candidate: exclusive count of earlier passing candidates in
     # the same outer row's block (each added one output_tuple charge).
     pass_all = _cumsum0(passes)
-    row_starts_in_exp = _cumsum0(counts[:cut])[:-1]
-    row_base = pass_all[row_starts_in_exp]
-    pass_before = pass_all[:-1] - np.repeat(row_base, counts[:cut])
-    rel_starts = _cumsum0(block_sizes)[:-1]
-    fetch_rel = 1 + within + pass_before  # after the descend charge
-    blocks = np.empty(flat_total, dtype=np.float64)
-    blocks[rel_starts[:cut]] = descend
-    blocks[rel_starts[rep] + fetch_rel] = model.index_fetch
-    blocks[rel_starts[rep[passes]] + fetch_rel[passes] + 1] = \
-        model.output_tuple
-
-    probe_seg, probe_starts, map_outer = _splice(
-        outer_s, block_sizes, blocks, 1)
-    if cut < n_outer:
-        probe_seg = probe_seg[:int(outer_s.yields[cut]) + flat_total]
-    events.extend(_mapped_events(outer_s.events, map_outer))
-    # rows_outer increments before the descend charge of its block.
-    events.append((key, "rows_outer", probe_starts[:cut], None))
-    delta = probe_starts - rel_starts - 1
-    out_abs = (rel_starts[rep[passes]] + fetch_rel[passes] + 2
-               + delta[rep[passes]])
-    yields = out_abs + 1
-    events.append((key, "rows_out", yields.copy(), None))
-    charges = np.concatenate(([model.startup], probe_seg))
-    columns = ([arr[rep[passes]] for arr in outer_s.columns]
-               + [arr[flat_tbl[passes]] for arr in arrays])
-    return _Stream(charges, yields, events, columns, layout, truncated)
+    pass_before = pass_all[:-1] - np.repeat(
+        pass_all[_cumsum0(counts)[:-1]], counts)
+    out_rows = rep[passes]
+    yields = (probe_starts[out_rows] + within[passes] + pass_before[passes]
+              + 3)
+    charges[yields - 1] = model.output_tuple
+    events.append((key, "rows_out", yields, None))
+    rows = _Rows({inner_table: data}, ((outer_s.rows, out_rows),),
+                 {inner_table: flat_tbl[passes]})
+    return _Stream(charges, yields, _Frame(events, [outer_s.frame]), rows,
+                   outer_s.truncated or cut < outer_s.yields.size)
 
 
 def _build_stream(node, query, data_provider, model, ctx, node_keys):
@@ -747,10 +678,14 @@ def _kill_index(charges, budget):
     and killed runs stop scanning shortly past the budget.
     """
     carry = 0.0
-    n = charges.size
-    for lo in range(0, n, MORSEL_CHARGES):
-        cum = np.cumsum(
-            np.concatenate(([carry], charges[lo:lo + MORSEL_CHARGES])))[1:]
+    for lo in range(0, charges.size, MORSEL_CHARGES):
+        morsel = charges[lo:lo + MORSEL_CHARGES]
+        # The carry rides in the morsel's first slot for the scan (the
+        # same ``spent + amount`` the meter computes), not in a copy.
+        first = morsel[0]
+        morsel[0] = carry + first
+        cum = np.cumsum(morsel)
+        morsel[0] = first
         if budget is not None and cum[-1] > budget:
             return lo + int(np.searchsorted(cum, budget, side="right")), None
         carry = float(cum[-1])
@@ -788,21 +723,13 @@ def execute_vectorized(root, query, data_provider, cost_model, budget=None,
         raise VectorFallback("truncated stream completed under budget")
 
     stats = {k: OperatorStats(node_key=k) for k in node_keys}
-    for k, field, reqs, deltas in stream.events:
-        if kill is None:
-            count = int(reqs.size) if deltas is None else int(deltas.sum())
-        else:
-            idx = int(np.searchsorted(reqs, kill, side="right"))
-            count = idx if deltas is None else int(deltas[:idx].sum())
-        record = stats[k]
-        setattr(record, field, getattr(record, field) + count)
+    stream.frame.tally(kill, stats)
     if kill is None:
         rows_out = int(stream.yields.size)
+        REGISTRY.incr("vector_exec_completed")
     else:
         rows_out = int(np.searchsorted(stream.yields, kill, side="right"))
-    TIMERS.incr("vector_exec_killed" if kill is not None
-                else "vector_exec_completed")
-    if kill is not None:
+        REGISTRY.incr("vector_exec_killed")
         REGISTRY.incr("budget_kill_executions", labels={"engine": "vector"})
         REGISTRY.observe("budget_kill_cost", budget)
     return ExecutionOutcome(

@@ -97,6 +97,18 @@ class JoinNode(PlanNode):
     def children(self):
         return (self.outer, self.inner)
 
+    def key_pairs(self):
+        """Per-side ``(table, column)`` key lists of the applied
+        predicates: ``(outer_keys, inner_keys)``, aligned by predicate."""
+        outer_keys, inner_keys = [], []
+        for pred in self.applied_preds:
+            left, right = pred.tables
+            if left not in self.outer.tables:
+                left, right = right, left
+            outer_keys.append((left, pred.column_for(left)))
+            inner_keys.append((right, pred.column_for(right)))
+        return outer_keys, inner_keys
+
 
 # ----------------------------------------------------------------------
 # Selectivity environments

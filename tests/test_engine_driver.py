@@ -55,6 +55,28 @@ def setup():
     return query, gen, ess, contours
 
 
+A_ATTR_IS_1 = filter_pred("a", "a_attr", "=", 1, selectivity=0.25)
+
+
+def ab_instance(fk_skew=None):
+    """A 100-row ``a`` and a 500-row ``b`` referencing it, generated."""
+    schema = Schema("f", tables=[
+        Table("a", 100, [key_column("a_id", 100),
+                         fk_column("a_attr", 4)]),
+        Table("b", 500, [fk_column("b_a_id", 100, indexed=True)]),
+    ], foreign_keys=[ForeignKey("b", "b_a_id", "a", "a_id")])
+    gen = DataGenerator(schema, seed=2)
+    gen.generate_table("a")
+    gen.generate_table("b", fk_skew=fk_skew)
+    return schema, gen
+
+
+def ab_query(schema, name, filters=()):
+    return SPJQuery(name, schema, ["a", "b"], joins=[
+        join("a", "a_id", "b", "b_a_id", selectivity=0.01,
+             error_prone=True)], filters=list(filters))
+
+
 class TestMeasurement:
     def test_measured_selectivity_definition(self, setup):
         query, gen, _, _ = setup
@@ -72,27 +94,37 @@ class TestMeasurement:
         assert all(0 < s <= 1 for s in qa)
 
     def test_filters_shrink_measurement(self):
-        schema = Schema("f", tables=[
-            Table("a", 100, [key_column("a_id", 100),
-                             fk_column("a_attr", 4)]),
-            Table("b", 500, [fk_column("b_a_id", 100, indexed=True)]),
-        ], foreign_keys=[ForeignKey("b", "b_a_id", "a", "a_id")])
-        query_all = SPJQuery("qa", schema, ["a", "b"], joins=[
-            join("a", "a_id", "b", "b_a_id", selectivity=0.01,
-                 error_prone=True)])
-        query_filtered = SPJQuery("qf", schema, ["a", "b"], joins=[
-            join("a", "a_id", "b", "b_a_id", selectivity=0.01,
-                 error_prone=True)],
-            filters=[filter_pred("a", "a_attr", "=", 1, selectivity=0.25)])
-        gen = DataGenerator(schema, seed=2)
-        gen.generate_table("a")
-        gen.generate_table("b")
+        schema, gen = ab_instance()
+        query_all = ab_query(schema, "qa")
+        query_filtered = ab_query(schema, "qf", [A_ATTR_IS_1])
         sel_all = measured_join_selectivity(gen, query_all,
                                             query_all.joins[0])
         sel_f = measured_join_selectivity(gen, query_filtered,
                                           query_filtered.joins[0])
         assert sel_all > 0
         assert sel_f != sel_all  # the filtered denominator differs
+
+    def test_memo_tells_same_named_queries_apart_by_filters(self):
+        schema, gen = ab_instance(fk_skew={"b_a_id": 1.2})
+        plain = ab_query(schema, "same_name")
+        filtered = ab_query(schema, "same_name", [A_ATTR_IS_1])
+        sel_plain = measured_join_selectivity(gen, plain, plain.joins[0])
+        sel_f = measured_join_selectivity(gen, filtered, filtered.joins[0])
+        kept = gen.table("a").column("a_attr") == 1
+        refs = np.bincount(gen.table("b").column("b_a_id"), minlength=100)
+        assert sel_plain == refs.sum() / (100 * 500)
+        assert sel_f == int(refs[kept].sum()) / (int(kept.sum()) * 500)
+        assert sel_f != sel_plain
+
+    def test_unknown_filter_op_raises(self):
+        from repro.errors import ExecutionError
+
+        schema, gen = ab_instance()
+        bad = filter_pred("a", "a_attr", "=", 1, selectivity=0.25)
+        object.__setattr__(bad, "op", "!=")  # past the constructor's check
+        query = ab_query(schema, "q", [bad])
+        with pytest.raises(ExecutionError, match="unsupported filter op"):
+            measured_join_selectivity(gen, query, query.joins[0])
 
 
 class TestEngineDiscovery:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench import workloads
@@ -74,6 +75,7 @@ class TestSmokeBench:
                 assert stats["max_abs_deviation"] == 0.0
         assert "ess_build" in on_disk["phases"]
         assert on_disk["hardware"]["cpu_count"] >= 1
+        assert on_disk["hardware"]["numpy"] == np.__version__
 
     def test_cli_bench_subcommand(self, isolated_cache, tmp_path, capsys):
         from repro.cli import main
