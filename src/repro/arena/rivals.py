@@ -35,9 +35,8 @@ import numpy as np
 
 from repro.arena.profiles import as_profile
 from repro.core.discovery import (
-    NORMAL,
-    DiscoveryResult,
-    ExecutionRecord,
+    SimulatedExecutor,
+    bouquet_ascent,
     normalize_location,
 )
 from repro.perf.batch import register_batch_engine
@@ -106,31 +105,9 @@ class FixedPlanRival:
 
     def run(self, qa, trace=False):
         """Execute the committed plan to completion at ``qa``."""
-        coords, flat = normalize_location(self.ess.grid, qa)
-        pid = self.plan_id
-        cost = float(self.ess.plan_cost_at(pid, flat))
-        optimal = float(self.ess.optimal_cost_at([flat])[0])
-        executions = None
-        if trace:
-            executions = [ExecutionRecord(
-                contour=0,
-                plan_id=pid,
-                plan_key=self.ess.plan_keys[pid],
-                mode=NORMAL,
-                spill_dim=None,
-                budget=float("inf"),
-                charged=cost,
-                completed=True,
-            )]
-        return DiscoveryResult(
-            qa_coords=coords,
-            total_cost=cost,
-            optimal_cost=optimal,
-            executions=executions,
-            num_executions=1,
-            contours_visited=0,
-            completed_plan_key=self.ess.plan_keys[pid],
-        )
+        executor = SimulatedExecutor(self.ess, qa, trace)
+        return executor.result(*bouquet_ascent(
+            executor, [(0, float("inf"), self.plan_id)]))
 
     def evaluate_all(self):
         """Vectorized full-grid sub-optimality (loop-bit-identical)."""

@@ -30,9 +30,9 @@ from repro.engine.driver import (
 )
 from repro.ess.contours import ContourSet
 from repro.ess.reduction import DEFAULT_LAMBDA
+from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.optimizer.plans import epp_total_order
-from repro.perf.timers import TIMERS
 
 
 @dataclass
@@ -68,13 +68,13 @@ def algorithm_profiles(name, with_eval=("pb", "sb", "ab"), profile=None):
     # REPRO_WORKERS > 1 (see repro.perf.parallel); each one reports its
     # wall time into the perf-trajectory timers either way.
     if "pb" in with_eval and prof.pb_eval is None:
-        with TIMERS.phase("sweep_pb"):
+        with REGISTRY.phase("sweep_pb"):
             prof.pb_eval = evaluate_algorithm(prof.pb)
     if "sb" in with_eval and prof.sb_eval is None:
-        with TIMERS.phase("sweep_sb"):
+        with REGISTRY.phase("sweep_sb"):
             prof.sb_eval = evaluate_algorithm(prof.sb)
     if "ab" in with_eval and prof.ab_eval is None:
-        with TIMERS.phase("sweep_ab"):
+        with REGISTRY.phase("sweep_ab"):
             prof.ab_eval = evaluate_algorithm(prof.ab)
     return prof
 
@@ -373,7 +373,7 @@ def run_conformance(num_workloads=200, base_seed=0,
     """
     from repro.conformance.suite import run_suite
 
-    with TIMERS.phase("conformance_suite"):
+    with REGISTRY.phase("conformance_suite"):
         return run_suite(
             num_workloads=num_workloads,
             base_seed=base_seed,

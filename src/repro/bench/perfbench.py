@@ -45,6 +45,7 @@ than hiding it.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import time
@@ -58,9 +59,9 @@ from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
 from repro.errors import ReproError
 from repro.ess.persistence import ess_cache_key
+from repro.obs.metrics import REGISTRY
 from repro.perf import cache as ess_cache
 from repro.perf.parallel import fanout_decision
-from repro.perf.timers import TIMERS
 
 
 def validate_artifact_path(path):
@@ -187,7 +188,7 @@ def bench_cache(name, profile, resolution=None):
         "warm_load_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "roundtrip_identical": bool(identical),
-        "cache_hit": bool(TIMERS.counter("ess_cache_hit")),
+        "cache_hit": bool(REGISTRY.counter("ess_cache_hit")),
     }
 
 
@@ -355,7 +356,7 @@ def bench_wallclock(row_budget=40_000, seed=11, resolution=None,
         "speedup": (timings["volcano"] / timings["vector"]
                     if timings["vector"] > 0 else float("inf")),
         "identical": fingerprints["volcano"] == fingerprints["vector"],
-        "vector_fallbacks": int(TIMERS.counter("vector_fallback")),
+        "vector_fallbacks": int(REGISTRY.counter("vector_fallback")),
     }
 
 
@@ -727,7 +728,7 @@ def run_bench(json_path=None, query="3D_Q91", profile=None, workers=4,
 
     validate_artifact_path(json_path)
     ess_mode = resolve_ess_mode(ess_mode)
-    TIMERS.reset()
+    REGISTRY.reset()
     previous_env = os.environ.get("REPRO_ESS")
     os.environ["REPRO_ESS"] = ess_mode
     try:
@@ -774,7 +775,19 @@ def run_bench(json_path=None, query="3D_Q91", profile=None, workers=4,
         "anytime": anytime_stats,
         "arena": arena_stats,
     }
+    payload.update(REGISTRY.summary())
     if json_path:
-        TIMERS.write_json(json_path, extra=payload)
-    payload.update(TIMERS.summary())
+        write_artifact(json_path, payload)
     return payload
+
+
+def write_artifact(path, payload):
+    """Write a bench artifact: sorted, indented UTF-8 JSON, parent
+    directories created."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True,
+                  ensure_ascii=False)
+        handle.write("\n")

@@ -19,7 +19,7 @@ from repro.catalog.schema import Column, ForeignKey, Schema, Table, fk_column, k
 from repro.ess.contours import ContourSet
 from repro.ess.grid import ESSGrid
 from repro.ess.ocs import ESS
-from repro.perf.timers import TIMERS
+from repro.obs.metrics import REGISTRY
 from repro.query.predicates import filter_pred, join
 from repro.query.query import SPJQuery
 
@@ -148,9 +148,9 @@ def build_wallclock_setup(row_budget=40_000, seed=11, resolution=10):
         resolution=resolution,
         sel_min=[min(1e-4, p.selectivity / 5.0) for p in query.epps],
     )
-    with TIMERS.phase("ess_build"):
+    with REGISTRY.phase("ess_build"):
         ess = ESS.build(query, grid)
-    with TIMERS.phase("contour_build"):
+    with REGISTRY.phase("contour_build"):
         contours = ContourSet(ess)
     # The whole setup is deterministic in (row_budget, seed, resolution),
     # so sweep workers can rebuild it from these kwargs — this is what

@@ -33,9 +33,9 @@ from repro.ess.grid import ESSGrid
 from repro.ess.lazy import LazyESS, contours_for, resolve_ess_mode
 from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
+from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.perf import cache as ess_cache
-from repro.perf.timers import TIMERS
 
 #: Per-dimension grid resolutions by profile and ESS dimensionality.
 RESOLUTION_PROFILES = {
@@ -154,7 +154,7 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
            ess_mode)
     cached = _CACHE.get(key)
     if cached is not None:
-        TIMERS.incr("workload_memory_hit")
+        REGISTRY.incr("workload_memory_hit")
         return cached
     query, grid, disk_key, resolution = _surface_spec(
         name, profile, resolution, cost_model
@@ -163,15 +163,15 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
         # The lazy surface's whole point is skipping the full sweep, so
         # it neither consults nor populates the archive cache; points
         # resolve on first touch instead.
-        with TIMERS.phase("ess_build"):
+        with REGISTRY.phase("ess_build"):
             ess = LazyESS(query, grid, cost_model=cost_model)
     else:
         ess = ess_cache.fetch(disk_key, query, cost_model)
         if ess is None:
-            with TIMERS.phase("ess_build"):
+            with REGISTRY.phase("ess_build"):
                 ess = ESS.build(query, grid, cost_model=cost_model)
             ess_cache.store(ess, disk_key)
-    with TIMERS.phase("contour_build"):
+    with REGISTRY.phase("contour_build"):
         contours = contours_for(ess, cost_ratio)
     # Build provenance lets the parallel-sweep engine rebuild this exact
     # ESS inside worker processes (through this very function, hence

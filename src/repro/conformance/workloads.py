@@ -32,9 +32,9 @@ from repro.ess.grid import ESSGrid
 from repro.ess.lazy import LazyESS, contours_for, resolve_ess_mode
 from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
+from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.perf import cache as ess_cache
-from repro.perf.timers import TIMERS
 
 #: Per-dimensionality (lo, hi) grid resolution ranges.  Small enough to
 #: keep a 200-workload suite in the minutes range, large enough that
@@ -137,7 +137,7 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
     key = (seed, resolution, cost_ratio, cost_noise, ess_mode)
     cached = _CACHE.get(key)
     if cached is not None:
-        TIMERS.incr("conformance_memory_hit")
+        REGISTRY.incr("conformance_memory_hit")
         return cached
 
     if cost_noise:
@@ -156,13 +156,13 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
     if ess_mode == "lazy":
         # Lazy surfaces bypass the archive cache entirely (fetching one
         # would defeat the point; storing one would force a full sweep).
-        with TIMERS.phase("conformance_ess_build"):
+        with REGISTRY.phase("conformance_ess_build"):
             ess = LazyESS(query, grid, cost_model=cost_model)
     else:
         ess = (ess_cache.fetch(disk_key, query, cost_model)
                if use_cache else None)
         if ess is None:
-            with TIMERS.phase("conformance_ess_build"):
+            with REGISTRY.phase("conformance_ess_build"):
                 ess = ESS.build(query, grid, cost_model=cost_model)
             if use_cache:
                 ess_cache.store(ess, disk_key)

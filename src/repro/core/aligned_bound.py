@@ -35,19 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.discovery import (
-    BUDGET_EPS,
-    NORMAL,
-    SPILL,
-    DiscoveryResult,
-    ExecutionRecord,
-    normalize_location,
-)
 from repro.core.spill_bound import SpillBound, learnable_index
 from repro.errors import DiscoveryError
 from repro.ess.contours import DEFAULT_COST_RATIO
-
-_EPS = BUDGET_EPS
 
 
 def set_partitions(items):
@@ -397,86 +387,11 @@ class AlignedBound(SpillBound):
     # Discovery (Algorithm 2)
     # ------------------------------------------------------------------
 
-    def _run_impl(self, qa, trace=False):
-        grid = self.ess.grid
-        coords, flat = normalize_location(grid, qa)
-        optimal = float(self.ess.optimal_cost[flat])
-        learned = {}
-        executions = [] if trace else None
-        total = 0.0
-        num_exec = 0
-        num_repeat = 0
-        executed_on_contour = set()
-        max_penalty = 1.0
-        # Same prior-guided start as SpillBound: min(target, band(qa)).
-        contour_index = self.prior_schedule().start_for(flat)
-
-        while True:
-            remaining = [d for d in range(self.num_dims) if d not in learned]
-            if len(remaining) <= 1:
-                if not remaining:
-                    raise DiscoveryError("all epps learnt before the 1-D phase")
-                tail_total, tail_exec, contour_index, plan_key = self._run_1d(
-                    remaining[0], learned, contour_index, coords, flat,
-                    trace, executions,
-                )
-                total += tail_total
-                num_exec += tail_exec
-                return DiscoveryResult(
-                    qa_coords=coords,
-                    total_cost=total,
-                    optimal_cost=optimal,
-                    executions=executions,
-                    num_executions=num_exec,
-                    num_repeat_executions=num_repeat,
-                    contours_visited=contour_index,
-                    completed_plan_key=plan_key,
-                    max_penalty=max_penalty,
-                )
-            if contour_index > self.contours.num_contours:
-                raise DiscoveryError(
-                    f"AlignedBound ascended past the last contour at {coords}"
-                )
-
-            learnt_this_pass = False
-            for step in self.contour_steps(contour_index, learned):
-                dim = step.exec_dim
-                fresh = (contour_index, dim) not in executed_on_contour
-                executed_on_contour.add((contour_index, dim))
-                if not fresh:
-                    num_repeat += 1
-                max_penalty = max(max_penalty, step.penalty)
-                qa_idx = coords[dim]
-                completed = qa_idx <= step.learn_idx
-                charged = float(step.curve[qa_idx]) if completed else step.budget
-                total += charged
-                num_exec += 1
-                if trace:
-                    learnt_sel = grid.selectivity(
-                        dim, qa_idx if completed else step.learn_idx
-                    )
-                    executions.append(ExecutionRecord(
-                        contour=contour_index,
-                        plan_id=step.plan_id,
-                        plan_key=self.ess.plan_keys[step.plan_id],
-                        mode=SPILL,
-                        spill_dim=dim,
-                        budget=step.budget,
-                        charged=charged,
-                        completed=completed,
-                        learned_selectivity=learnt_sel,
-                        fresh=fresh,
-                        penalty=step.penalty,
-                    ))
-                if completed:
-                    learned[dim] = qa_idx
-                    learnt_this_pass = True
-                    break
-            if not learnt_this_pass:
-                contour_index += 1
-
-    def run(self, qa, trace=False):  # noqa: F811 - see _run_impl note
-        result = self._run_impl(qa, trace)
+    def run(self, qa, trace=False):
+        """SpillBound's walk over the partition steps; the largest
+        replacement penalty met is folded into
+        :attr:`observed_max_penalty`."""
+        result = super().run(qa, trace)
         self.observed_max_penalty = max(self.observed_max_penalty,
                                         result.max_penalty)
         return result

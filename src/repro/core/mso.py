@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.discovery import loop_suboptimality
+
 
 @dataclass
 class Evaluation:
@@ -67,13 +69,6 @@ def _parallel_sweep(algorithm, flats, workers):
     return sub
 
 
-def _batched_sweep(algorithm, points):
-    """Try the frontier-batched engine; None means "not covered"."""
-    from repro.perf.batch import batched_suboptimality
-
-    return batched_suboptimality(algorithm, points)
-
-
 #: Sweep-engine choices accepted by :func:`evaluate_algorithm`.
 SWEEP_ENGINES = ("auto", "batch", "parallel", "loop")
 
@@ -101,8 +96,11 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
         points: optional iterable of flat indices to restrict the sweep
             (used by sampled ablations); default is the full grid.
         workers: worker-process count; default from ``REPRO_WORKERS``.
-        engine: ``"auto"`` (batched when covered, then multiprocess when
-            its cost guard says fan-out can win, then serial),
+        engine: ``"auto"`` (batched when covered, else multiprocess
+            when a worker spec exists and the cost guard allows, else
+            serial — every class :func:`~repro.perf.parallel.spec_for`
+            accepts also has a batch engine, so for those ``auto`` never
+            reaches the fan-out; it runs only when named),
             ``"batch"`` (batched or serial fallback), ``"parallel"``
             (force the fan-out attempt), or ``"loop"`` (force the
             per-location reference loop — the benchmark baseline).
@@ -112,6 +110,7 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
     """
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import span as obs_span
+    from repro.perf.batch import batched_suboptimality
     from repro.perf.parallel import worker_count
 
     if engine not in SWEEP_ENGINES:
@@ -128,7 +127,7 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
         sub = None
         used = "loop"
         if engine in ("auto", "batch"):
-            sub = _batched_sweep(
+            sub = batched_suboptimality(
                 algorithm, None if points is None else flat_list
             )
             if sub is not None:
@@ -155,9 +154,7 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
                         "batch engine or algorithm factory, or "
                         "implement run(qa)"
                     )
-                sub = np.empty(len(flat_list), dtype=float)
-                for k, flat in enumerate(flat_list):
-                    sub[k] = algorithm.run(flat).suboptimality
+                sub = loop_suboptimality(algorithm, flat_list)
                 # Batch/parallel sweeps are observed inside their own
                 # engines; the reference loop is observed here.
                 from repro.conformance.monitors import observe_sweep

@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.discovery import (
-    NORMAL,
-    DiscoveryResult,
-    ExecutionRecord,
+    SimulatedExecutor,
+    bouquet_ascent,
     normalize_location,
 )
 
@@ -71,34 +70,12 @@ class NativeOptimizer:
     def run(self, qa, qe=None, trace=False):
         """Execute with estimate ``qe`` (default: the ESS origin, the
         optimistic all-independent estimate) against actual ``qa``."""
-        grid = self.ess.grid
-        coords, flat = normalize_location(grid, qa)
-        if qe is None:
-            qe = grid.origin
-        pid = self.plan_for_estimate(qe)
-        cost = self.ess.plan_cost_at(pid, flat)
-        optimal = float(self.ess.optimal_cost[flat])
-        executions = None
-        if trace:
-            executions = [ExecutionRecord(
-                contour=0,
-                plan_id=pid,
-                plan_key=self.ess.plan_keys[pid],
-                mode=NORMAL,
-                spill_dim=None,
-                budget=float("inf"),
-                charged=cost,
-                completed=True,
-            )]
-        return DiscoveryResult(
-            qa_coords=coords,
-            total_cost=cost,
-            optimal_cost=optimal,
-            executions=executions,
-            num_executions=1,
-            contours_visited=0,
-            completed_plan_key=self.ess.plan_keys[pid],
-        )
+        pid = self.plan_for_estimate(
+            self.ess.grid.origin if qe is None else qe)
+        executor = SimulatedExecutor(self.ess, qa, trace)
+        # One regular-mode execution, run to the end.
+        return executor.result(*bouquet_ascent(
+            executor, [(0, float("inf"), pid)]))
 
     # ------------------------------------------------------------------
     # Exhaustive profiles

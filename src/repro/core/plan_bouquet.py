@@ -11,22 +11,14 @@ is exactly the drawback SpillBound removes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.discovery import (
-    BUDGET_EPS,
-    NORMAL,
-    DiscoveryResult,
-    ExecutionRecord,
-    budget_covers,
-    normalize_location,
+    SimulatedExecutor,
+    bouquet_ascent,
+    sweep_suboptimality,
 )
 from repro.errors import DiscoveryError
 from repro.ess.contours import DEFAULT_COST_RATIO, ContourSet
 from repro.ess.reduction import DEFAULT_LAMBDA, AnorexicReduction
-
-#: Relative slack for budget comparisons (floating point only).
-_EPS = BUDGET_EPS
 
 
 class PlanBouquet:
@@ -98,79 +90,40 @@ class PlanBouquet:
     # Discovery
     # ------------------------------------------------------------------
 
+    def trials(self, start_contour=1):
+        """The bouquet's ``(contour, inflated budget, plan id)`` trial
+        sequence from ``start_contour`` up, each reduced contour's plans
+        in :meth:`contour_plans` order."""
+        for rc in self.reduction.reduced:
+            if rc.index >= start_contour:
+                budget = rc.inflated_budget
+                for pid in self.contour_plans(rc):
+                    yield rc.index, budget, pid
+
     def run(self, qa, trace=False):
-        """Process a query whose actual location is ``qa``.
+        """Process a query whose actual location is ``qa``: the budgeted
+        bouquet ascent of :mod:`repro.core.discovery` over :meth:`trials`.
 
         Returns a :class:`~repro.core.discovery.DiscoveryResult`.
         """
-        coords, flat = normalize_location(self.ess.grid, qa)
-        optimal = float(self.ess.optimal_cost[flat])
-        total = 0.0
-        executions = [] if trace else None
-        num_exec = 0
+        executor = SimulatedExecutor(self.ess, qa, trace)
         # Prior-guided start at min(target, band(qa)): qa is itself a
         # point of the starting band, so the anorexic cover guarantees
         # a completion there, and the charges are a contiguous suffix
         # of the ladder sum the 4(1+lambda)rho proof already bounds.
-        start = self.prior_schedule().start_for(flat)
-        for rc in self.reduction.reduced:
-            if rc.index < start:
-                continue
-            budget = rc.inflated_budget
-            for pid in self.contour_plans(rc):
-                cost_here = self.ess.plan_cost_at(pid, flat)
-                completed = budget_covers(cost_here, budget)
-                charged = cost_here if completed else budget
-                total += charged
-                num_exec += 1
-                if trace:
-                    executions.append(ExecutionRecord(
-                        contour=rc.index,
-                        plan_id=pid,
-                        plan_key=self.ess.plan_keys[pid],
-                        mode=NORMAL,
-                        spill_dim=None,
-                        budget=budget,
-                        charged=charged,
-                        completed=completed,
-                    ))
-                if completed:
-                    return DiscoveryResult(
-                        qa_coords=coords,
-                        total_cost=total,
-                        optimal_cost=optimal,
-                        executions=executions,
-                        num_executions=num_exec,
-                        contours_visited=rc.index,
-                        completed_plan_key=self.ess.plan_keys[pid],
-                    )
-        raise DiscoveryError(
-            f"PlanBouquet failed to complete at {coords} — reduction cover "
-            "does not reach the query's contour (inconsistent state)"
-        )
+        start = self.prior_schedule().start_for(executor.flat)
+        outcome = bouquet_ascent(executor, self.trials(start))
+        if outcome[-1] is None:
+            raise DiscoveryError(
+                f"PlanBouquet failed to complete at {executor.coords} — "
+                "reduction cover does not reach the query's contour "
+                "(inconsistent state)"
+            )
+        return executor.result(*outcome)
 
     def evaluate_all(self, points=None):
-        """Vectorized exhaustive sweep: sub-optimality for every ``qa``.
-
-        Delegates to the batched sweep engine (:mod:`repro.perf.batch`):
-        one pass per bouquet plan per contour, entirely in numpy — the
-        completion test for a plan is just an array comparison of its
-        (cached) cost surface against the contour budget.  Subclasses
-        the engine does not cover fall back to the per-location loop.
-
-        Args:
-            points: optional flat indices restricting the sweep.
-        """
-        from repro.perf.batch import batched_suboptimality
-
-        sub = batched_suboptimality(self, points)
-        if sub is not None:
-            return sub
-        flats = (
-            range(self.ess.grid.num_points) if points is None
-            else list(points)
-        )
-        out = np.empty(len(flats), dtype=float)
-        for k, flat in enumerate(flats):
-            out[k] = self.run(flat).suboptimality
-        return out
+        """Exhaustive sweep: sub-optimality for every ``qa``, or for the
+        flat indices in ``points`` — one boolean-mask pass per bouquet
+        plan per contour in the batched engine
+        (:func:`~repro.core.discovery.sweep_suboptimality`)."""
+        return sweep_suboptimality(self, points)

@@ -44,39 +44,16 @@ class RandomizedSpillBound(SpillBound):
         """Select the randomization stream for subsequent runs."""
         self._sample = int(sample)
 
-    def _step_order(self, steps, contour_index):
-        rng = np.random.default_rng(
-            (self.seed, self._sample, contour_index, len(steps))
-        )
+    def contour_steps(self, contour_index, learned):
+        """SpillBound's steps for the state, shuffled by a stream keyed
+        on ``(seed, sample, contour, step count)``."""
+        steps = {step.exec_dim: step
+                 for step in super().contour_steps(contour_index, learned)}
         dims = sorted(steps)
-        rng.shuffle(dims)
-        return dims
-
-    # The base class iterates `sorted(steps)`; override the run loop's
-    # ordering by wrapping _plan_steps with an order-carrying dict.
-    def run(self, qa, trace=False):
-        original = SpillBound._plan_steps
-        randomized_self = self
-
-        def shuffled(self_, contour_index, learned):
-            steps = original(self_, contour_index, learned)
-            order = randomized_self._step_order(steps, contour_index)
-            return {position: steps[dim]
-                    for position, dim in enumerate(order)}
-
-        # Rebind the step planner for the duration of this run only.
-        self._plan_steps = shuffled.__get__(self, type(self))
-        try:
-            return super().run(qa, trace)
-        finally:
-            del self._plan_steps
-
-    def evaluate_all(self):
-        n = self.ess.grid.num_points
-        sub = np.empty(n, dtype=float)
-        for flat in range(n):
-            sub[flat] = self.run(flat).suboptimality
-        return sub
+        np.random.default_rng(
+            (self.seed, self._sample, contour_index, len(dims))
+        ).shuffle(dims)
+        return [steps[dim] for dim in dims]
 
 
 def expected_suboptimality(ess, contour_set, qa, samples=16, seed=0):

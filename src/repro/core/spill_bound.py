@@ -37,14 +37,10 @@ import numpy as np
 
 from repro.core.discovery import (
     BUDGET_EPS,
-    NORMAL,
-    SPILL,
-    DiscoveryResult,
-    ExecutionRecord,
-    budget_covers,
-    normalize_location,
+    SimulatedExecutor,
+    discover,
+    sweep_suboptimality,
 )
-from repro.errors import DiscoveryError
 from repro.ess.contours import DEFAULT_COST_RATIO, ContourSet
 
 _EPS = BUDGET_EPS
@@ -66,8 +62,8 @@ def band_trials(bands, plan_ids):
     Returns:
         ``(line, band, pid)`` int64 arrays in trial order: line-major,
         then band-major, then first-occurrence position within the band.
-        Both the scalar tail's per-contour plan lists
-        (:meth:`SpillBound._line_plans`) and the batched engine's global
+        Both the scalar tail's trial sequence
+        (:meth:`SpillBound.tail_trials`) and the batched engine's global
         tail drain are derived from this single implementation.
     """
     bands = np.ascontiguousarray(bands, dtype=np.int64)
@@ -315,197 +311,50 @@ class SpillBound:
     # The 1-D PlanBouquet tail
     # ------------------------------------------------------------------
 
-    def _line_plans(self, free_dim, learned):
-        """Per-contour plan lists along the 1-D effective line (cached).
+    def tail_trials(self, free_dim, learned, start_contour):
+        """``(contour, budget, plan id)`` trials of the classic bouquet
+        over the remaining single dimension, from ``start_contour`` up.
 
-        Returns a list indexed by 0-based contour: each entry is the list
-        of plan ids optimal somewhere in that contour's slice of the
-        line, ordered by ascending position (origin-first, the bouquet's
-        ascending-cost execution order).
+        Per contour in ascending order, each plan optimal somewhere in
+        that contour's slice of the 1-D effective line under the contour
+        budget, ordered by ascending position (origin-first, the
+        bouquet's ascending-cost execution order).  Cached per line.
         """
         key = (free_dim, tuple(sorted(learned.items())))
-        cached = self._line_cache.get(key)
-        if cached is not None:
-            return cached
-        grid = self.ess.grid
-        line = grid.line_indices(learned, free_dim)
-        _, trial_bands, trial_pids = band_trials(
-            self.contours.band[line][None, :],
-            self.ess.plan_ids[line][None, :],
-        )
-        per_contour = [[] for _ in range(self.contours.num_contours)]
-        for band, pid in zip(trial_bands.tolist(), trial_pids.tolist()):
-            per_contour[band].append(pid)
-        self._line_cache[key] = per_contour
-        return per_contour
-
-    def _run_1d(self, free_dim, learned, start_contour, coords, flat,
-                trace, executions):
-        """Classic PlanBouquet over the remaining single dimension.
-
-        Returns ``(total_cost, num_executions, last_contour, plan_key)``.
-        """
-        per_contour = self._line_plans(free_dim, learned)
-        total = 0.0
-        num_exec = 0
-        for index in range(start_contour, self.contours.num_contours + 1):
-            budget = self.contours.budget(index)
-            for pid in per_contour[index - 1]:
-                cost_here = self.ess.plan_cost_at(pid, flat)
-                completed = budget_covers(cost_here, budget)
-                charged = cost_here if completed else budget
-                total += charged
-                num_exec += 1
-                if trace:
-                    executions.append(ExecutionRecord(
-                        contour=index,
-                        plan_id=pid,
-                        plan_key=self.ess.plan_keys[pid],
-                        mode=NORMAL,
-                        spill_dim=None,
-                        budget=budget,
-                        charged=charged,
-                        completed=completed,
-                    ))
-                if completed:
-                    return total, num_exec, index, self.ess.plan_keys[pid]
-        raise DiscoveryError(
-            f"1-D bouquet failed to terminate (dim {free_dim}, qa {coords})"
-        )
+        trials = self._line_cache.get(key)
+        if trials is None:
+            line = self.ess.grid.line_indices(learned, free_dim)
+            _, bands, pids = band_trials(
+                self.contours.band[line][None, :],
+                self.ess.plan_ids[line][None, :],
+            )
+            trials = [
+                (band + 1, self.contours.budget(band + 1), pid)
+                for band, pid in zip(bands.tolist(), pids.tolist())
+            ]
+            self._line_cache[key] = trials
+        return (trial for trial in trials if trial[0] >= start_contour)
 
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
 
     def run(self, qa, trace=False):
-        """Process a query located at ``qa`` (Algorithm 1).
+        """Process a query located at ``qa`` (Algorithm 1): the shared
+        walk of :mod:`repro.core.discovery` over :meth:`contour_steps`.
 
         Returns a :class:`~repro.core.discovery.DiscoveryResult`.
         """
-        grid = self.ess.grid
-        coords, flat = normalize_location(grid, qa)
-        optimal = float(self.ess.optimal_cost[flat])
-        learned = {}
-        executions = [] if trace else None
-        total = 0.0
-        num_exec = 0
-        num_repeat = 0
-        executed_on_contour = set()  # (contour, dim) pairs, for repeats
+        executor = SimulatedExecutor(self.ess, qa, trace)
         # Prior-guided starting contour: min(target, band(qa)) — never
         # above the band holding qa, so only guaranteed kills are
-        # skipped and the ladder accounting above is verbatim (1 when
-        # the prior is inert).
-        contour_index = self.prior_schedule().start_for(flat)
-
-        while True:
-            remaining = [d for d in range(self.num_dims) if d not in learned]
-            if len(remaining) <= 1:
-                if not remaining:
-                    raise DiscoveryError("all epps learnt before the 1-D phase")
-                tail_total, tail_exec, contour_index, plan_key = self._run_1d(
-                    remaining[0], learned, contour_index, coords, flat,
-                    trace, executions,
-                )
-                total += tail_total
-                num_exec += tail_exec
-                return DiscoveryResult(
-                    qa_coords=coords,
-                    total_cost=total,
-                    optimal_cost=optimal,
-                    executions=executions,
-                    num_executions=num_exec,
-                    num_repeat_executions=num_repeat,
-                    contours_visited=contour_index,
-                    completed_plan_key=plan_key,
-                )
-            if contour_index > self.contours.num_contours:
-                # Unreachable under the SI analysis (the effective-slice
-                # terminus always completes by the top contour); the
-                # dependent-selectivity extension overrides this hook.
-                extra, plan_key = self._on_ladder_exhausted(coords, flat,
-                                                            learned)
-                total += extra
-                num_exec += 1
-                return DiscoveryResult(
-                    qa_coords=coords,
-                    total_cost=total,
-                    optimal_cost=optimal,
-                    executions=executions,
-                    num_executions=num_exec,
-                    num_repeat_executions=num_repeat,
-                    contours_visited=contour_index,
-                    completed_plan_key=plan_key,
-                )
-
-            learnt_this_pass = False
-            for step in self.contour_steps(contour_index, learned):
-                dim = step.exec_dim  # steps carry their own dimension
-                fresh = (contour_index, dim) not in executed_on_contour
-                executed_on_contour.add((contour_index, dim))
-                if not fresh:
-                    num_repeat += 1
-                qa_idx = coords[dim]
-                completed = qa_idx <= step.learn_idx
-                charged = float(step.curve[qa_idx]) if completed else step.budget
-                total += charged
-                num_exec += 1
-                if trace:
-                    learnt_sel = grid.selectivity(
-                        dim, qa_idx if completed else step.learn_idx
-                    )
-                    executions.append(ExecutionRecord(
-                        contour=contour_index,
-                        plan_id=step.plan_id,
-                        plan_key=self.ess.plan_keys[step.plan_id],
-                        mode=SPILL,
-                        spill_dim=dim,
-                        budget=step.budget,
-                        charged=charged,
-                        completed=completed,
-                        learned_selectivity=learnt_sel,
-                        fresh=fresh,
-                    ))
-                if completed:
-                    learned[dim] = qa_idx
-                    learnt_this_pass = True
-                    break  # re-plan this contour with the smaller EPP set
-            if not learnt_this_pass:
-                contour_index += 1  # Lemma 4.3: qa lies beyond this contour
-
-    def _on_ladder_exhausted(self, coords, flat, learned):
-        """Hook invoked if discovery ascends past the last contour.
-
-        Under selectivity independence this cannot happen (Lemma 3.2 /
-        the slice-terminus argument), so the default raises; subclasses
-        modelling SI violations override it with a forced completion.
-        Returns ``(extra_charge, completed_plan_key)``.
-        """
-        raise DiscoveryError(
-            f"SpillBound ascended past the last contour at {coords}"
-        )
+        # skipped and the ladder accounting is verbatim (1 when the
+        # prior is inert).
+        start = self.prior_schedule().start_for(executor.flat)
+        return executor.result(*discover(self, executor, start))
 
     def evaluate_all(self, points=None):
-        """Exhaustive sweep: sub-optimality for every grid location.
-
-        Prefers the frontier-batched engine (:mod:`repro.perf.batch`),
-        which visits each discovery state once and partitions location
-        *sets* with array arithmetic; subclasses the engine does not
-        cover fall back to the per-location reference loop.
-
-        Args:
-            points: optional flat indices restricting the sweep;
-                default is the full grid.
-        """
-        from repro.perf.batch import batched_suboptimality
-
-        sub = batched_suboptimality(self, points)
-        if sub is not None:
-            return sub
-        flats = (
-            range(self.ess.grid.num_points) if points is None
-            else list(points)
-        )
-        out = np.empty(len(flats), dtype=float)
-        for k, flat in enumerate(flats):
-            out[k] = self.run(flat).suboptimality
-        return out
+        """Exhaustive sweep: sub-optimality for every grid location, or
+        for the flat indices in ``points``
+        (:func:`~repro.core.discovery.sweep_suboptimality`)."""
+        return sweep_suboptimality(self, points)

@@ -17,10 +17,9 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.core.spill_bound import SpillBound
+from repro.core.discovery import discover
 from repro.engine.spill import execute_plan, spill_root_key
 from repro.engine.vector import _apply_filters
-from repro.errors import DiscoveryError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 
@@ -106,13 +105,91 @@ class EngineReport:
         return len(self.steps)
 
 
+class EngineExecutor:
+    """The walk's executor on the real engine: one budgeted execution is
+    one :func:`~repro.engine.spill.execute_plan` run, killed at budget
+    expiry, each logged as an :class:`EngineStep` of ``report``.
+
+    (Interface: :class:`~repro.core.discovery.SimulatedExecutor`.)
+    """
+
+    def __init__(self, ess, data_provider, engine="auto"):
+        self.ess = ess
+        self.data_provider = data_provider
+        self.engine = engine
+        self.report = EngineReport()
+
+    def _execute(self, contour_index, plan_id, budget, spill_epp=None):
+        """Run one plan (``budget=None``: to the end), charge and log it;
+        a completed regular-mode run is the query's result.
+
+        Returns the engine outcome and the selectivity a completed spill
+        observed for its epp (NaN otherwise).
+        """
+        plan = self.ess.plans[plan_id]
+        outcome = execute_plan(
+            plan, self.ess.query, self.data_provider, self.ess.cost_model,
+            budget=budget, spill_epp=spill_epp, engine=self.engine,
+        )
+        learned_sel = float("nan")
+        if outcome.completed and spill_epp is None:
+            self.report.rows_out = outcome.rows_out
+            self.report.completed_plan_key = plan.key
+        elif outcome.completed:
+            REGISTRY.incr("engine_learned_selectivities",
+                          labels={"epp": spill_epp})
+            learned_sel = outcome.selectivity_of(
+                spill_root_key(plan, spill_epp))
+        self.report.total_cost += outcome.cost_spent
+        self.report.steps.append(EngineStep(
+            contour=contour_index,
+            plan_key=plan.key,
+            mode="normal" if spill_epp is None else "spill",
+            spill_epp=spill_epp or "",
+            budget=float("inf") if budget is None else budget,
+            cost_spent=outcome.cost_spent,
+            completed=outcome.completed,
+            learned_selectivity=learned_sel,
+        ))
+        return outcome, learned_sel
+
+    def spill(self, contour_index, step, fresh):
+        dim = step.exec_dim
+        outcome, learned_sel = self._execute(
+            contour_index, step.plan_id, step.budget,
+            self.ess.query.epps[dim].name,
+        )
+        if not outcome.completed:
+            return outcome.cost_spent, None
+        # Snap the observed selectivity to the grid, in log space.
+        values = self.ess.grid.values[dim]
+        idx = int(np.argmin(np.abs(
+            np.log(values) - np.log(max(learned_sel, values[0])))))
+        return outcome.cost_spent, idx
+
+    def trial(self, contour_index, budget, plan_id):
+        outcome, _ = self._execute(contour_index, plan_id, budget)
+        return outcome.cost_spent, outcome.completed
+
+    def exhausted(self, contour_index, learned):
+        """Safety net (possible only under cost-model/engine divergence):
+        run the optimal plan at the learnt location without a budget."""
+        grid = self.ess.grid
+        flat = grid.flat_index(tuple(
+            learned.get(d, grid.terminus[d]) for d in range(grid.num_dims)))
+        plan_id = int(self.ess.plan_ids[flat])
+        outcome, _ = self._execute(contour_index, plan_id, None)
+        return outcome.cost_spent, plan_id
+
+
 class EngineDiscoveryDriver:
     """Run a contour-discovery algorithm against the real engine.
 
     Args:
         simulator: a :class:`~repro.core.spill_bound.SpillBound` (or
             :class:`~repro.core.aligned_bound.AlignedBound`) instance —
-            supplies contour structure and per-state plan choices.
+            supplies contour structure and per-state plan choices
+            (``contour_steps`` / ``tail_trials``).
         data_provider: ``table(name) -> TableData``.
         engine: execution engine selector passed to every
             :func:`~repro.engine.spill.execute_plan` call.
@@ -125,125 +202,21 @@ class EngineDiscoveryDriver:
         self.ess = simulator.ess
         self.query = simulator.ess.query
 
-    def _steps_for_state(self, contour_index, learned):
-        sim = self.simulator
-        if hasattr(sim, "_plan_partition"):
-            return sim._plan_partition(contour_index, learned)
-        steps = sim._plan_steps(contour_index, learned)
-        return [steps[dim] for dim in sorted(steps)]
-
-    def _spill_once(self, step, contour_index, learned, report):
-        """One budgeted spill-mode engine execution; updates ``learned``."""
-        dim = getattr(step, "leader", None)
-        if dim is None:
-            dim = step.dim
-        epp_name = self.query.epps[dim].name
-        plan = self.ess.plans[step.plan_id]
-        outcome = execute_plan(
-            plan, self.query, self.data_provider, self.ess.cost_model,
-            budget=step.budget, spill_epp=epp_name, engine=self.engine,
-        )
-        learned_sel = float("nan")
-        if outcome.completed:
-            REGISTRY.incr("engine_learned_selectivities",
-                          labels={"epp": epp_name})
-            learned_sel = outcome.selectivity_of(spill_root_key(plan, epp_name))
-            grid = self.ess.grid
-            logs = np.log(grid.values[dim])
-            idx = int(np.argmin(np.abs(logs - np.log(max(learned_sel, grid.values[dim][0])))))
-            learned[dim] = idx
-        report.total_cost += outcome.cost_spent
-        report.steps.append(EngineStep(
-            contour=contour_index,
-            plan_key=plan.key,
-            mode="spill",
-            spill_epp=epp_name,
-            budget=step.budget,
-            cost_spent=outcome.cost_spent,
-            completed=outcome.completed,
-            learned_selectivity=learned_sel,
-        ))
-        return outcome.completed
-
-    def _run_1d_engine(self, free_dim, learned, start_contour, report):
-        per_contour = self.simulator._line_plans(free_dim, learned)
-        contours = self.simulator.contours
-        for index in range(start_contour, contours.num_contours + 1):
-            budget = contours.budget(index)
-            for pid in per_contour[index - 1]:
-                plan = self.ess.plans[pid]
-                outcome = execute_plan(
-                    plan, self.query, self.data_provider,
-                    self.ess.cost_model, budget=budget, engine=self.engine,
-                )
-                report.total_cost += outcome.cost_spent
-                report.steps.append(EngineStep(
-                    contour=index,
-                    plan_key=plan.key,
-                    mode="normal",
-                    spill_epp="",
-                    budget=budget,
-                    cost_spent=outcome.cost_spent,
-                    completed=outcome.completed,
-                ))
-                if outcome.completed:
-                    report.rows_out = outcome.rows_out
-                    report.completed_plan_key = plan.key
-                    return True
-        return False
-
     def run(self):
-        """Drive discovery to completion on the engine."""
+        """Drive discovery to completion on the engine: the scalar walk
+        of :mod:`repro.core.discovery` from contour 1, every execution's
+        outcome coming from an :class:`EngineExecutor`."""
         from repro.conformance.monitors import observe_engine_report
 
+        executor = EngineExecutor(self.ess, self.data_provider, self.engine)
+        report = executor.report
         with obs_span("engine.discovery", query=self.query.name,
                       engine=self.engine) as run_span:
-            report = self._drive()
+            discover(self.simulator, executor, 1)
             run_span.set_attr("steps", report.num_steps)
             run_span.set_attr("total_cost", report.total_cost)
         REGISTRY.incr("engine_discovery_runs")
         observe_engine_report(report, self.simulator)
-        return report
-
-    def _drive(self):
-        learned = {}
-        report = EngineReport()
-        num_dims = self.ess.grid.num_dims
-        contour_index = 1
-        max_rounds = 4 * self.simulator.contours.num_contours * num_dims + 16
-        for _ in range(max_rounds):
-            remaining = [d for d in range(num_dims) if d not in learned]
-            if len(remaining) <= 1 and remaining:
-                if self._run_1d_engine(remaining[0], learned, contour_index,
-                                       report):
-                    return report
-                break  # fall through to the unbudgeted safety net
-            if contour_index > self.simulator.contours.num_contours:
-                break
-            steps = self._steps_for_state(contour_index, learned)
-            learnt = False
-            for step in steps:
-                if self._spill_once(step, contour_index, learned, report):
-                    learnt = True
-                    break
-            if not learnt:
-                contour_index += 1
-        # Safety net (possible only under cost-model/engine divergence):
-        # run the optimal plan at the learnt location without a budget.
-        coords = tuple(learned.get(d, self.ess.grid.terminus[d])
-                       for d in range(num_dims))
-        flat = self.ess.grid.flat_index(coords)
-        plan = self.ess.plans[int(self.ess.plan_ids[flat])]
-        outcome = execute_plan(plan, self.query, self.data_provider,
-                               self.ess.cost_model, engine=self.engine)
-        report.total_cost += outcome.cost_spent
-        report.rows_out = outcome.rows_out
-        report.completed_plan_key = plan.key
-        report.steps.append(EngineStep(
-            contour=contour_index, plan_key=plan.key, mode="normal",
-            spill_epp="", budget=float("inf"),
-            cost_spent=outcome.cost_spent, completed=True,
-        ))
         return report
 
 

@@ -31,10 +31,16 @@ region, the corrected MSO stays within ``(D^2 + 3D)(1+delta)^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from repro.core.discovery import (
+    SimulatedExecutor,
+    budget_covers,
+    discover,
+)
 from repro.core.spill_bound import SpillBound, learnable_index
 from repro.errors import DiscoveryError, QueryError
 from repro.optimizer.plans import (
@@ -44,8 +50,6 @@ from repro.optimizer.plans import (
     predicate_selectivity,
 )
 from repro.optimizer.plans import JoinNode, INDEX_NL_JOIN
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,30 @@ class CorrelatedWorld:
         return self._optimal
 
 
+class _CorrectedExecutor(SimulatedExecutor):
+    """Simulated executions whose plan costs follow the corrected world
+    (spill steps already carry corrected curves, from
+    :meth:`CorrelatedSpillBound._plan_steps`)."""
+
+    __slots__ = ("world",)
+
+    def __init__(self, algorithm, qa, trace):
+        super().__init__(algorithm.ess, qa, trace)
+        self.world = algorithm.world
+
+    def trial(self, contour_index, budget, plan_id):
+        # Unrecorded: the corrected tail was never part of a trace.
+        cost_here = float(self.world.plan_cost_array(plan_id)[self.flat])
+        completed = budget_covers(cost_here, budget)
+        return (cost_here if completed else budget), completed
+
+    def exhausted(self, contour_index, learned):
+        """Forced completion: run the SI-optimal plan for the location
+        to the end, paying its corrected cost."""
+        pid = int(self.ess.plan_ids[self.flat])
+        return float(self.world.plan_cost_array(pid)[self.flat]), pid
+
+
 class CorrelatedSpillBound(SpillBound):
     """SpillBound executing in a world that violates SI.
 
@@ -222,13 +250,9 @@ class CorrelatedSpillBound(SpillBound):
             # No Lemma 3.1 floor clamp: under SI violation the budget
             # need not cover the corrected spill cost at q*, and the
             # possibility of under-learning is part of the phenomenon.
-            steps[dim] = type(step)(
-                dim=step.dim,
-                plan_id=step.plan_id,
-                qstar_coords=step.qstar_coords,
-                budget=step.budget,
+            steps[dim] = replace(
+                step, curve=curve,
                 learn_idx=learnable_index(curve, step.budget, 0),
-                curve=curve,
             )
         self._corr_curve_cache[key] = steps
         return steps
@@ -249,53 +273,28 @@ class CorrelatedSpillBound(SpillBound):
             np.asarray(curve, dtype=float), (grid.resolution[dim],)
         )
 
-    def _run_1d(self, free_dim, learned, start_contour, coords, flat,
-                trace, executions):
-        """1-D bouquet tail under corrected plan costs, with a safety
-        ladder extension (the SI band of qa no longer guarantees
-        completion)."""
-        per_contour = self._line_plans(free_dim, learned)
-        total = 0.0
-        num_exec = 0
-        last_budget = self.contours.budget(self.contours.num_contours)
-        for index in range(start_contour, self.contours.num_contours + 8):
-            if index <= self.contours.num_contours:
-                budget = self.contours.budget(index)
-                plan_ids = per_contour[index - 1]
-            else:
-                # Ladder extension: retry the top contour's plans with
-                # doubled budgets until the corrected cost fits.
-                budget = last_budget * (
-                    self.contours.cost_ratio
-                    ** (index - self.contours.num_contours)
-                )
-                plan_ids = per_contour[-1] or [int(self.ess.plan_ids[flat])]
+    def _tail_trials(self, flat, free_dim, learned, start_contour):
+        """SpillBound's tail, then a safety ladder extension (the SI band
+        of qa no longer guarantees completion): retry the top contour's
+        plans — or, where the line has none, the SI-optimal plan at
+        ``flat`` — with budgets growing by the contour ratio."""
+        yield from self.tail_trials(free_dim, learned, start_contour)
+        top = self.contours.num_contours
+        plan_ids = ([pid for _, _, pid in
+                     self.tail_trials(free_dim, learned, top)]
+                    or [int(self.ess.plan_ids[flat])])
+        for extra in range(1, 8):
+            budget = self.contours.budget(top) * (
+                self.contours.cost_ratio ** extra)
             for pid in plan_ids:
-                cost_here = float(self.world.plan_cost_array(pid)[flat])
-                completed = cost_here <= budget * (1.0 + _EPS)
-                total += cost_here if completed else budget
-                num_exec += 1
-                if completed:
-                    return total, num_exec, index, self.ess.plan_keys[pid]
-        raise DiscoveryError("correlated 1-D tail failed to terminate")
-
-    def _on_ladder_exhausted(self, coords, flat, learned):
-        """Forced completion: run the SI-optimal plan for the learnt
-        location to the end, paying its corrected cost."""
-        pid = int(self.ess.plan_ids[flat])
-        return float(self.world.plan_cost_array(pid)[flat]), \
-            self.ess.plan_keys[pid]
+                yield top + extra, budget, pid
 
     def run(self, qa, trace=False):
-        result = super().run(qa, trace)
+        executor = _CorrectedExecutor(self, qa, trace)
+        result = executor.result(*discover(
+            self, executor, self.prior_schedule().start_for(executor.flat),
+            tail_trials=partial(self._tail_trials, executor.flat),
+        ))
         # Re-judge against the corrected oracle.
-        flat = self.ess.grid.flat_index(result.qa_coords)
-        result.optimal_cost = float(self.world.optimal_cost()[flat])
+        result.optimal_cost = float(self.world.optimal_cost()[executor.flat])
         return result
-
-    def evaluate_all(self):
-        n = self.ess.grid.num_points
-        sub = np.empty(n, dtype=float)
-        for flat in range(n):
-            sub[flat] = self.run(flat).suboptimality
-        return sub

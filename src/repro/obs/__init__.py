@@ -9,8 +9,8 @@ Layering (no cycles):
 * :mod:`repro.obs.waterfall` — the budget-waterfall HTML/SVG viewer.
 
 Tracing is off by default (``REPRO_TRACE=0``); the metrics registry is
-always on (counter bumps are one dict update, the same deal the old
-``TIMERS`` had).  See ``docs/observability.md`` for the catalog.
+always on (counter bumps are one dict update).  See
+``docs/observability.md`` for the catalog.
 """
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry

@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges, histograms, phase timings.
 
 One process-global :data:`REGISTRY` absorbs everything the repo used to
-scatter across ad-hoc counters: the ``perf/timers.py`` phase profile
-(now a back-compat shim over this registry), run-level discovery
+scatter across ad-hoc counters: the phase profile behind the
+``BENCH_*.json`` artifacts, run-level discovery
 semantics (contours crossed, spill executions per epp, budget-kill
 charges, learned-bound updates), infrastructure counters (ESS cache
 hits/misses, engine fallbacks, worker fan-out), and anything future
@@ -12,7 +12,7 @@ subsystems report.  The registry stores plain data only — rendering
 Design constraints:
 
 * **cheap** — a counter bump is one dict update, so instrumentation can
-  stay enabled unconditionally (the same deal ``TIMERS`` always had);
+  stay enabled unconditionally;
 * **mergeable** — :meth:`MetricsRegistry.merge` folds a plain-data
   :meth:`~MetricsRegistry.summary` from another process into this one,
   which is how multiprocess sweep workers report their phase timings
@@ -209,11 +209,11 @@ class MetricsRegistry:
     def summary(self):
         """Plain-data dump of everything in the registry.
 
-        The ``phases``/``counters`` sections keep the exact shape the
-        old ``PhaseTimer.summary()`` produced (label-free counters are
-        flattened to their bare name) so ``BENCH_*.json`` artifacts and
-        their consumers are unchanged; labelled counters, gauges and
-        histograms ride along in their own sections.
+        The ``phases``/``counters`` sections have a fixed shape
+        (label-free counters are flattened to their bare name) that
+        ``BENCH_*.json`` artifacts and their consumers read; labelled
+        counters, gauges and histograms ride along in their own
+        sections.
         """
         with self._lock:
             counters = {}

@@ -1,6 +1,7 @@
-"""Performance layer: sweep engines, persistent ESS cache, timers.
+"""Performance layer: sweep engines, persistent ESS cache.
 
-Four coordinated pieces (see ``docs/performance.md``):
+Three coordinated pieces (see ``docs/performance.md``; phase timings and
+counters live in :data:`repro.obs.metrics.REGISTRY`):
 
 * :mod:`repro.perf.batch` — frontier-batched discovery simulation: the
   exhaustive sweep visits each discovery state once and partitions
@@ -14,9 +15,7 @@ Four coordinated pieces (see ``docs/performance.md``):
   machine;
 * :mod:`repro.perf.cache` — persistent content-keyed ESS archive cache
   (``REPRO_CACHE_DIR`` / ``REPRO_CACHE``), wired into
-  :func:`repro.bench.workloads.load`;
-* :mod:`repro.perf.timers` — process-global phase timing behind the
-  ``BENCH_*.json`` perf-trajectory artifacts.
+  :func:`repro.bench.workloads.load`.
 """
 
 from repro.perf.batch import batched_suboptimality
@@ -28,11 +27,8 @@ from repro.perf.parallel import (
     spec_for,
     worker_count,
 )
-from repro.perf.timers import TIMERS, PhaseTimer
 
 __all__ = [
-    "TIMERS",
-    "PhaseTimer",
     "SweepSpec",
     "archive_path",
     "batched_suboptimality",

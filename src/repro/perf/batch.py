@@ -55,8 +55,8 @@ import numpy as np
 from repro.conformance.monitors import observe_sweep
 from repro.core.discovery import budget_covers
 from repro.errors import DiscoveryError
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.perf.timers import TIMERS
 
 
 def batched_suboptimality(algorithm, points=None):
@@ -86,13 +86,13 @@ def batched_suboptimality(algorithm, points=None):
             return np.empty(0, dtype=float)
         unique = np.unique(flats)
     prior = getattr(algorithm, "prior", None)
-    with TIMERS.phase("batched_sweep"):
+    with REGISTRY.phase("batched_sweep"):
         with obs_span("sweep.batch", points=int(flats.size),
                       unique=int(unique.size),
                       prior="uniform" if prior is None else prior.kind):
             total = engine(algorithm, unique)
-    TIMERS.incr("batched_sweeps")
-    TIMERS.incr("batched_sweep_points", int(flats.size))
+    REGISTRY.incr("batched_sweeps")
+    REGISTRY.incr("batched_sweep_points", int(flats.size))
     # Gather only the swept locations' denominators: on a lazy surface a
     # restricted sweep must not materialize the whole grid.
     sub = total[flats] / algorithm.ess.optimal_cost_at(flats)
@@ -304,7 +304,7 @@ def _sweep_frontier(algorithm, flats):
         algorithm.observed_max_penalty = max(
             algorithm.observed_max_penalty, max_penalty
         )
-    TIMERS.incr("batched_sweep_states", num_states)
+    REGISTRY.incr("batched_sweep_states", num_states)
     return total
 
 

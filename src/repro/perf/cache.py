@@ -35,8 +35,8 @@ import os
 import tempfile
 import threading
 
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.perf.timers import TIMERS
 
 _ARCHIVE_SUFFIX = ".ess.npz"
 
@@ -102,20 +102,20 @@ def fetch(key, query, cost_model):
         return None
     path = archive_path(key)
     if not os.path.exists(path):
-        TIMERS.incr("ess_cache_miss")
+        REGISTRY.incr("ess_cache_miss")
         return None
     from repro.ess.persistence import load_ess
 
     try:
-        with TIMERS.phase("ess_cache_load"):
+        with REGISTRY.phase("ess_cache_load"):
             with obs_span("cache.load", key=key), _IO_LOCK:
                 ess = load_ess(path, query, cost_model=cost_model,
                                expected_key=key)
     except Exception:
-        TIMERS.incr("ess_cache_invalid")
-        TIMERS.incr("ess_cache_miss")
+        REGISTRY.incr("ess_cache_invalid")
+        REGISTRY.incr("ess_cache_miss")
         return None
-    TIMERS.incr("ess_cache_hit")
+    REGISTRY.incr("ess_cache_hit")
     return ess
 
 
@@ -148,7 +148,7 @@ def store(ess, key):
             dir=os.path.dirname(path), suffix=_ARCHIVE_SUFFIX
         )
         os.close(fd)
-        with TIMERS.phase("ess_cache_save"), _IO_LOCK:
+        with REGISTRY.phase("ess_cache_save"), _IO_LOCK:
             save_ess(ess, tmp, cache_key=key, mmap=mmap_enabled(),
                      sidecar_base=path)
             stale = _sidecars_of(path)
@@ -164,7 +164,7 @@ def store(ess, key):
                     pass
     except OSError:
         return None  # read-only cache dir etc. — caching is best-effort
-    TIMERS.incr("ess_cache_store")
+    REGISTRY.incr("ess_cache_store")
     return path
 
 

@@ -23,7 +23,7 @@ under :data:`MIN_PARALLEL_POINTS` locations, and when the per-worker
 share falls under :data:`MIN_POINTS_PER_WORKER` (pool startup plus
 per-worker ESS reconstruction would dominate — the PR-1 benchmark
 measured fan-out at 0.62-0.67x of serial on a 1-CPU host).  Every skip
-is recorded in ``TIMERS`` counters (``parallel_sweep_skipped`` plus a
+is recorded in registry counters (``parallel_sweep_skipped`` plus a
 ``parallel_sweep_skip_<reason>`` breakdown) so BENCH artifacts report
 the decision honestly.
 
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import trace as tracing
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.perf.timers import TIMERS
 
 #: Sweeps smaller than this stay serial even when workers are enabled —
 #: pool startup plus per-worker ESS reconstruction would dominate.
@@ -278,9 +278,9 @@ def _evaluate_chunk(task):
     # exactly its own deltas — the parent merges every chunk summary, so
     # nothing a worker measures is dropped and nothing is double-counted.
     # (Pool workers run only chunks, so the reset clobbers no one.)
-    TIMERS.reset()
+    REGISTRY.reset()
     # Join the parent's trace when one rides in the task: spans minted
-    # here ship home with the chunk result, exactly like the TIMERS
+    # here ship home with the chunk result, exactly like the registry
     # summary (see repro.obs.trace — cross-process propagation).
     tracer = tracing.child_tracer(trace_wire)
     previous = tracing.install_tracer(tracer) if tracer is not None else None
@@ -292,21 +292,16 @@ def _evaluate_chunk(task):
             # propagate as a set through the shared discovery state
             # machine, so the cost of a chunk scales with the states it
             # touches.
-            from repro.perf.batch import batched_suboptimality
+            from repro.core.discovery import sweep_suboptimality
 
-            sub = batched_suboptimality(algorithm, flats)
-            if sub is not None:
-                out = np.asarray(sub, dtype=float)
-            else:
-                out = np.empty(len(flats), dtype=float)
-                for i, flat in enumerate(flats):
-                    out[i] = algorithm.run(int(flat)).suboptimality
+            out = np.asarray(sweep_suboptimality(algorithm, flats),
+                             dtype=float)
     finally:
         if tracer is not None:
             tracing.install_tracer(previous)
     spans = [s.to_record() for s in tracer.spans] if tracer is not None \
         else None
-    return out, TIMERS.summary(), spans
+    return out, REGISTRY.summary(), spans
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +324,8 @@ def parallel_suboptimality(spec, flats, workers, ess=None):
     flats = np.asarray(flats, dtype=np.int64)
     workers, skip = fanout_decision(len(flats), workers)
     if skip is not None:
-        TIMERS.incr("parallel_sweep_skipped")
-        TIMERS.incr(f"parallel_sweep_skip_{skip}")
+        REGISTRY.incr("parallel_sweep_skipped")
+        REGISTRY.incr(f"parallel_sweep_skip_{skip}")
         return None
     surface = None
     if ess is not None:
@@ -342,7 +337,7 @@ def parallel_suboptimality(spec, flats, workers, ess=None):
     num_chunks = min(len(flats), workers * CHUNKS_PER_WORKER)
     chunks = np.array_split(flats, num_chunks)
     try:
-        with TIMERS.phase("parallel_sweep"):
+        with REGISTRY.phase("parallel_sweep"):
             with obs_span("sweep.parallel", workers=workers,
                           points=len(flats), chunks=num_chunks):
                 # Captured inside the sweep.parallel span so worker
@@ -355,7 +350,7 @@ def parallel_suboptimality(spec, flats, workers, ess=None):
                                  [(spec, c, wire) for c in chunks])
                     )
     except Exception:
-        TIMERS.incr("parallel_sweep_fallback")
+        REGISTRY.incr("parallel_sweep_fallback")
         return None
     finally:
         if surface is not None:
@@ -367,10 +362,10 @@ def parallel_suboptimality(spec, flats, workers, ess=None):
     # way.
     active = tracing.active_tracer()
     for _, worker_summary, worker_spans in results:
-        TIMERS.merge(worker_summary)
+        REGISTRY.merge(worker_summary)
         if active is not None and worker_spans:
             active.splice(worker_spans)
-    TIMERS.incr("parallel_sweeps")
-    TIMERS.incr("parallel_sweep_points", len(flats))
-    TIMERS.incr("parallel_sweep_workers", workers)
+    REGISTRY.incr("parallel_sweeps")
+    REGISTRY.incr("parallel_sweep_points", len(flats))
+    REGISTRY.incr("parallel_sweep_workers", workers)
     return np.concatenate(parts)

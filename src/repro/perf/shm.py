@@ -35,8 +35,8 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.perf.timers import TIMERS
 
 #: Offer registry: content-key digest -> offer dict.  Module-global so
 #: forked sweep workers inherit live offers.
@@ -165,9 +165,9 @@ def publish(key, ess):
     try:
         surface = SharedSurface(key, ess)
     except Exception:
-        TIMERS.incr("ess_shm_publish_failed")
+        REGISTRY.incr("ess_shm_publish_failed")
         return None
-    TIMERS.incr("ess_shm_published")
+    REGISTRY.incr("ess_shm_published")
     return surface
 
 
@@ -189,9 +189,9 @@ def attach_if_offered(key, query, cost_model):
         # the offer is inconsistent; drop it so a long-lived worker
         # doesn't pay a doomed attach on every future fetch of this key.
         _OFFERS.pop(digest, None)
-        TIMERS.incr("ess_shm_attach_failed")
+        REGISTRY.incr("ess_shm_attach_failed")
         return None
-    TIMERS.incr("ess_shm_hit")
+    REGISTRY.incr("ess_shm_hit")
     return ess
 
 
@@ -304,7 +304,7 @@ def export_for_transfer(key, ess):
                 segment.unlink()
             except OSError:
                 pass
-        TIMERS.incr("ess_shm_publish_failed")
+        REGISTRY.incr("ess_shm_publish_failed")
         return None
     for segment in created:
         try:
@@ -312,7 +312,7 @@ def export_for_transfer(key, ess):
         except Exception:
             pass
         segment.close()
-    TIMERS.incr("ess_shm_exported")
+    REGISTRY.incr("ess_shm_exported")
     return {
         "key": key,
         "segments": names,

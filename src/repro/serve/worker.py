@@ -47,8 +47,8 @@ from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
 from repro.errors import ReproError
 from repro.obs import trace as tracing
+from repro.obs.metrics import REGISTRY
 from repro.perf import shm
-from repro.perf.timers import TIMERS
 from repro.prior import HistoryStore, history_key, make_prior
 
 #: Worker-side workload memo bound: above this many cached instances
@@ -203,7 +203,7 @@ def _adopt_trace(spec):
 def _ship_trace(out, tracer, previous):
     """Uninstall the task's child tracer and attach its finished spans
     to the result payload (the worker-to-parent shipping lane — same
-    pattern as the TIMERS summary riding in ``out["metrics"]``)."""
+    pattern as the registry summary riding in ``out["metrics"]``)."""
     if tracer is None:
         return
     tracing.install_tracer(previous)
@@ -229,7 +229,7 @@ def build_surface(spec):
     memory is unavailable — the surface still landed in the persistent
     archive, so discover tasks fall back to a disk load, not a rebuild.
     """
-    TIMERS.reset()
+    REGISTRY.reset()
     tracer, previous = _adopt_trace(spec)
     out = {"task": "build", "outcome": "ok", "started_at": time.time(),
            "pid": os.getpid()}
@@ -251,14 +251,14 @@ def build_surface(spec):
         out["outcome"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
     _ship_trace(out, tracer, previous)
-    out["metrics"] = TIMERS.summary()
+    out["metrics"] = REGISTRY.summary()
     out["finished_at"] = time.time()
     return out
 
 
 def run_discovery(spec):
     """One served discovery request: scalar run or exhaustive sweep."""
-    TIMERS.reset()
+    REGISTRY.reset()
     tracer, previous = _adopt_trace(spec)
     slot = spec.get("cancel_slot")
     out = {"task": spec.get("kind", "run"), "outcome": "ok",
@@ -316,7 +316,7 @@ def run_discovery(spec):
         out["error"] = f"{type(exc).__name__}: {exc}"
         out.pop("result", None)
     _ship_trace(out, tracer, previous)
-    out["metrics"] = TIMERS.summary()
+    out["metrics"] = REGISTRY.summary()
     out["finished_at"] = time.time()
     return out
 

@@ -1,5 +1,4 @@
-"""Tests for the metrics registry, the TIMERS shim, and the
-Prometheus text exposition."""
+"""Tests for the metrics registry and the Prometheus text exposition."""
 
 import json
 
@@ -14,7 +13,6 @@ from repro.obs.metrics import (
     _flat_name,
     _unflatten,
 )
-from repro.perf.timers import TIMERS, PhaseTimer
 
 
 @pytest.fixture
@@ -71,6 +69,17 @@ class TestInstruments:
         assert registry.summary()["phases"]["io"] == {
             "total_s": 2.0, "count": 2,
         }
+
+    def test_summary_phases_counters_shape(self, registry):
+        # The shape `repro bench --sentinel`, the BENCH_pr*.json
+        # extractors and the benchmark's /metrics deltas read.
+        with registry.phase("build"):
+            pass
+        registry.incr("cache_hits", 3)
+        summary = registry.summary()
+        assert summary["counters"] == {"cache_hits": 3}
+        assert set(summary["phases"]) == {"build"}
+        assert set(summary["phases"]["build"]) == {"total_s", "count"}
 
     def test_reset_clears_everything(self, registry):
         registry.incr("c")
@@ -139,54 +148,6 @@ class TestMerge:
         registry.incr("c")
         registry.merge({})
         assert registry.counter("c") == 1
-
-
-class TestPhaseTimerShim:
-    def test_bare_timer_owns_private_registry(self):
-        timer = PhaseTimer()
-        timer.incr("private")
-        assert timer.counter("private") == 1
-        assert timer.registry is not REGISTRY
-        assert REGISTRY.counter("private") == 0
-
-    def test_global_timers_backed_by_registry(self):
-        # TIMERS and REGISTRY are two views over one store, so legacy
-        # call sites and new instrumentation always agree.
-        assert TIMERS.registry is REGISTRY
-        TIMERS.incr("shim_probe")
-        try:
-            assert REGISTRY.counter("shim_probe") == TIMERS.counter(
-                "shim_probe")
-        finally:
-            REGISTRY._counters.pop(("shim_probe", ()), None)
-
-    def test_summary_keeps_legacy_shape(self):
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            pass
-        timer.incr("cache_hits", 3)
-        summary = timer.summary()
-        assert summary["counters"] == {"cache_hits": 3}
-        assert set(summary["phases"]) == {"build"}
-        assert set(summary["phases"]["build"]) == {"total_s", "count"}
-
-    def test_merge_through_shim(self):
-        parent, worker = PhaseTimer(), PhaseTimer()
-        worker.incr("points", 7)
-        worker.record("sweep", 0.25)
-        parent.merge(worker.summary())
-        assert parent.counter("points") == 7
-        assert parent.summary()["phases"]["sweep"]["count"] == 1
-
-    def test_write_json_creates_dirs_and_utf8(self, tmp_path):
-        timer = PhaseTimer()
-        timer.incr("runs")
-        path = tmp_path / "deep" / "nested" / "profile.json"
-        payload = timer.write_json(str(path), extra={"note": "µ-bench ≤1"})
-        assert payload["note"] == "µ-bench ≤1"
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk["note"] == "µ-bench ≤1"
-        assert on_disk["counters"] == {"runs": 1}
 
 
 class TestPrometheusExposition:

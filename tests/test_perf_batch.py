@@ -9,8 +9,8 @@ import pytest
 
 from repro import AlignedBound, ContourSet, ESS, ESSGrid, PlanBouquet, SpillBound
 from repro.core.mso import evaluate_algorithm
+from repro.obs.metrics import REGISTRY
 from repro.perf.batch import batched_suboptimality
-from repro.perf.timers import TIMERS
 from tests.conftest import make_star_query
 
 
@@ -118,11 +118,11 @@ class TestCoverageGate:
         assert batched_suboptimality(algo) is None
 
     def test_timers_counters(self, toy_sb):
-        TIMERS.reset()
+        REGISTRY.reset()
         batched_suboptimality(toy_sb, [1, 2, 3])
-        assert TIMERS.counter("batched_sweeps") == 1
-        assert TIMERS.counter("batched_sweep_points") == 3
-        assert TIMERS.counter("batched_sweep_states") >= 1
+        assert REGISTRY.counter("batched_sweeps") == 1
+        assert REGISTRY.counter("batched_sweep_points") == 3
+        assert REGISTRY.counter("batched_sweep_states") >= 1
 
 
 class TestEvaluateAlgorithmEngines:

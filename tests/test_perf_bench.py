@@ -1,4 +1,4 @@
-"""Smoke tests for the perf benchmark (repro bench) and phase timers."""
+"""Smoke tests for the perf benchmark (repro bench)."""
 
 import json
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.bench import workloads
-from repro.perf.timers import PhaseTimer
 
 
 @pytest.fixture
@@ -18,29 +17,18 @@ def isolated_cache(tmp_path, monkeypatch):
     workloads.clear_cache()
 
 
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            pass
-        with timer.phase("build"):
-            pass
-        timer.record("sweep", 1.5)
-        timer.incr("hits")
-        timer.incr("hits", 2)
-        summary = timer.summary()
-        assert summary["phases"]["build"]["count"] == 2
-        assert summary["phases"]["sweep"]["total_s"] == 1.5
-        assert summary["counters"]["hits"] == 3
+class TestBenchArtifact:
+    def test_write_artifact_creates_dirs_and_utf8(self, tmp_path):
+        from repro.bench.perfbench import write_artifact
 
-    def test_write_json(self, tmp_path):
-        timer = PhaseTimer()
-        timer.record("x", 0.25)
-        path = tmp_path / "bench.json"
-        timer.write_json(path, extra={"schema_version": 1})
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-        assert payload["phases"]["x"]["total_s"] == 0.25
+        path = tmp_path / "deep" / "nested" / "bench.json"
+        write_artifact(str(path), {"note": "µ-bench ≤1", "schema_version": 1,
+                                   "phases": {"x": {"total_s": 0.25}}})
+        text = path.read_text(encoding="utf-8")
+        assert "µ-bench ≤1" in text and text.endswith("\n")
+        on_disk = json.loads(text)
+        assert on_disk["schema_version"] == 1
+        assert on_disk["phases"]["x"]["total_s"] == 0.25
 
 
 @pytest.mark.smoke_bench

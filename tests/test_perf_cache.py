@@ -7,9 +7,9 @@ import pytest
 
 from repro.bench import workloads
 from repro.ess.persistence import ess_cache_key
+from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.perf import cache as ess_cache
-from repro.perf.timers import TIMERS
 
 
 @pytest.fixture
@@ -18,10 +18,10 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ess-cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     workloads.clear_cache()
-    TIMERS.reset()
+    REGISTRY.reset()
     yield tmp_path / "ess-cache"
     workloads.clear_cache()
-    TIMERS.reset()
+    REGISTRY.reset()
 
 
 class TestFingerprint:
@@ -52,10 +52,10 @@ class TestFingerprint:
 class TestPersistentCache:
     def test_warm_load_is_bit_identical(self, isolated_cache):
         cold = workloads.load("2D_Q91", profile="smoke")
-        assert TIMERS.counter("ess_cache_store") == 1
+        assert REGISTRY.counter("ess_cache_store") == 1
         workloads.clear_cache()
         warm = workloads.load("2D_Q91", profile="smoke")
-        assert TIMERS.counter("ess_cache_hit") == 1
+        assert REGISTRY.counter("ess_cache_hit") == 1
         assert warm.ess is not cold.ess
         assert np.array_equal(warm.ess.optimal_cost, cold.ess.optimal_cost)
         assert np.array_equal(warm.ess.plan_ids, cold.ess.plan_ids)
@@ -82,15 +82,15 @@ class TestPersistentCache:
         workloads.load("2D_Q91", profile="smoke", cost_model=noisy)
         # The perturbed model must key a distinct archive, not hit the
         # one built for the default model.
-        assert TIMERS.counter("ess_cache_hit") == 0
-        assert TIMERS.counter("ess_cache_store") == 2
+        assert REGISTRY.counter("ess_cache_hit") == 0
+        assert REGISTRY.counter("ess_cache_store") == 2
 
     def test_resolution_change_invalidates(self, isolated_cache):
         workloads.load("2D_Q91", profile="smoke")
         workloads.clear_cache()
         workloads.load("2D_Q91", profile="smoke", resolution=6)
-        assert TIMERS.counter("ess_cache_hit") == 0
-        assert TIMERS.counter("ess_cache_store") == 2
+        assert REGISTRY.counter("ess_cache_hit") == 0
+        assert REGISTRY.counter("ess_cache_store") == 2
 
     def test_distinct_keys_map_to_distinct_archives(self):
         base = dict(query_name="2D_Q91", resolution=[10, 10],
@@ -112,7 +112,7 @@ class TestPersistentCache:
         monkeypatch.setenv("REPRO_CACHE", "0")
         workloads.load("2D_Q91", profile="smoke")
         assert not os.path.isdir(str(isolated_cache))
-        assert TIMERS.counter("ess_cache_store") == 0
+        assert REGISTRY.counter("ess_cache_store") == 0
 
     def test_corrupt_archive_treated_as_miss(self, isolated_cache):
         workloads.load("2D_Q91", profile="smoke")
@@ -124,7 +124,7 @@ class TestPersistentCache:
         workloads.clear_cache()
         instance = workloads.load("2D_Q91", profile="smoke")  # rebuilds
         assert instance.ess.grid.num_points > 0
-        assert TIMERS.counter("ess_cache_invalid") == 1
+        assert REGISTRY.counter("ess_cache_invalid") == 1
 
     def test_clear_removes_archives(self, isolated_cache):
         workloads.load("2D_Q91", profile="smoke")
@@ -157,7 +157,7 @@ class TestConcurrentArchiveIO:
         references = (first.ess.optimal_cost.copy(),
                       second.ess.optimal_cost.copy())
         ess_cache.store(first.ess, key)
-        TIMERS.reset()
+        REGISTRY.reset()
 
         stop = threading.Event()
         failures = []
@@ -189,5 +189,5 @@ class TestConcurrentArchiveIO:
             thread.join(30)
 
         assert failures == []
-        assert TIMERS.counter("ess_cache_invalid") == 0
-        assert TIMERS.counter("ess_cache_hit") > 0
+        assert REGISTRY.counter("ess_cache_invalid") == 0
+        assert REGISTRY.counter("ess_cache_hit") > 0

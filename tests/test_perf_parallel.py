@@ -105,16 +105,16 @@ class TestFanoutDecision:
         assert par.fanout_decision(10, 4, cpus=1) == (4, None)
 
     def test_skips_are_counted(self, isolated_cache, monkeypatch):
-        from repro.perf.timers import TIMERS
+        from repro.obs.metrics import REGISTRY
 
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         instance = workloads.load("2D_Q91", profile="smoke")
         spec = par.spec_for(SpillBound(instance.ess, instance.contours))
-        TIMERS.reset()
+        REGISTRY.reset()
         # 100 points < MIN_PARALLEL_POINTS (or 1 CPU): the guard declines
         # and the caller falls back to the serial path.
         assert par.parallel_suboptimality(spec, range(100), 4) is None
-        assert TIMERS.counter("parallel_sweep_skipped") == 1
+        assert REGISTRY.counter("parallel_sweep_skipped") == 1
 
 
 class TestParallelSweep:

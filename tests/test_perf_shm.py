@@ -15,8 +15,8 @@ from repro.bench import workloads
 from repro.core.mso import evaluate_algorithm
 from repro.core.spill_bound import SpillBound
 from repro.ess.persistence import ess_cache_key
+from repro.obs.metrics import REGISTRY
 from repro.perf import cache, shm
-from repro.perf.timers import TIMERS
 
 
 @pytest.fixture
@@ -25,10 +25,10 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ess-cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     workloads.clear_cache()
-    TIMERS.reset()
+    REGISTRY.reset()
     yield tmp_path / "ess-cache"
     workloads.clear_cache()
-    TIMERS.reset()
+    REGISTRY.reset()
 
 
 def _key_of(ess):
@@ -141,12 +141,12 @@ class TestCacheTier:
         key = _key_of(toy_ess)
         surface = shm.publish(key, toy_ess)
         try:
-            TIMERS.reset()
+            REGISTRY.reset()
             fetched = cache.fetch(key, toy_ess.query, toy_ess.cost_model)
             assert fetched is not None
             assert np.array_equal(fetched.optimal_cost,
                                   toy_ess.optimal_cost)
-            assert TIMERS.counter("ess_shm_hit") == 1
+            assert REGISTRY.counter("ess_shm_hit") == 1
         finally:
             surface.close()
         assert cache.fetch(key, toy_ess.query, toy_ess.cost_model) is None
