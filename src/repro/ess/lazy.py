@@ -269,6 +269,8 @@ class LazyESS(ESS):
         self._pids = np.full(n, -1, dtype=np.int32)
         self._resolved_mask = np.zeros(n, dtype=bool)
         self._plan_index = {}
+        #: Plan-tree nodes shared by every resolve of this surface.
+        self._plan_nodes = {}
         self._optimizer = Optimizer(query, cost_model, left_deep=left_deep)
         origin = grid.flat_index(grid.origin)
         terminus = grid.flat_index(grid.terminus)
@@ -323,7 +325,7 @@ class LazyESS(ESS):
                 result = self._optimizer.optimize(
                     grid.environment_at(missing), num_points=missing.size
                 )
-                keys, pool = result.plans()
+                keys, pool = result.plans(self._plan_nodes)
         new_keys = sorted(k for k in pool if k not in self._plan_index)
         if new_keys:
             for key in new_keys:
@@ -420,14 +422,19 @@ class LazyContourSet(ContourSet):
     PCM those lie in ``sublevel(b) = {q : band(q) <= b}``, whose boundary
     the box recursion finds without touching the rest of the grid:
 
-    * low corner's band > ``b`` → no members inside, prune;
-    * high corner's band <= ``b`` → every point is a member, resolve all;
+    * low corner's band > ``b`` or high corner's band < ``b`` → no
+      members inside, prune;
+    * both corners' bands == ``b`` → every point is a member, resolve
+      the whole box;
     * otherwise split the longest axis — 1-D boxes binary-search the
       band boundary along their gridline (per-gridline bisection).
 
-    Sublevel resolution is incremental and memoized
-    (``_sublevel_done``), so walking contours in budget order — what
-    every discovery run does — pays for each shell once.
+    The recursion runs breadth-first over arrays of boxes and issues
+    one optimizer call per round (:meth:`_ensure_band`), so a first
+    touch costs ``O(D log resolution)`` calls per band however many
+    boxes the shell breaks into.  Shells are memoized (``_bands_done``),
+    so walking contours in budget order — what every discovery run
+    does — pays for each once.
     """
 
     def _init_band(self):
@@ -441,12 +448,6 @@ class LazyContourSet(ContourSet):
         bands = self.band_of_costs(ess._costs[flats])
         return flats[bands == band].astype(np.int64)
 
-    def _band_at(self, flat):
-        """Band of one already-resolved flat index."""
-        return int(self.band_of_costs(
-            self.ess._costs[np.asarray([flat], dtype=np.int64)]
-        )[0])
-
     def _ensure_band(self, target):
         """Resolve every grid point whose band equals ``target``.
 
@@ -455,85 +456,96 @@ class LazyContourSet(ContourSet):
         wholly below (high corner's band < ``target``) is pruned without
         resolving its interior, so enumerating one band never pays for
         the sublevel volume beneath it.
+
+        A round handles every live box at once — one ``(boxes, D)``
+        array per corner, one ``band_of_costs`` over all corners — and
+        issues a single ``ess.resolve``: the round's corners together
+        with the interiors of the boxes the previous round found wholly
+        inside the band (nothing waits on those, so they ride along
+        with the next call; the last ones join the bisection's spans).
         """
         if target in self._bands_done:
             return
         ess = self.ess
         grid = ess.grid
-        with obs_span("ess.lazy.contour_shell", band=int(target)):
-            boxes = [(grid.origin, grid.terminus)]
-            segments = []
-            while boxes:
-                corners = []
-                for lo, hi in boxes:
-                    corners.append(grid.flat_index(lo))
-                    corners.append(grid.flat_index(hi))
-                ess.resolve(np.asarray(corners, dtype=np.int64))
-                nxt = []
-                for (lo, hi), lo_flat, hi_flat in zip(
-                    boxes, corners[0::2], corners[1::2]
-                ):
-                    band_lo = self._band_at(lo_flat)
-                    band_hi = self._band_at(hi_flat)
-                    # PCM: bands inside the box lie in [band_lo, band_hi].
-                    if band_lo > target or band_hi < target:
-                        continue
-                    if band_lo == target and band_hi == target:
-                        ess.resolve(grid.box_flats(lo, hi))
-                        continue
-                    free = [d for d in range(grid.num_dims)
-                            if hi[d] > lo[d]]
-                    if len(free) == 1:
-                        segments.append(
-                            (lo, hi, free[0], band_lo, band_hi)
-                        )
-                        continue
-                    d = max(free, key=lambda dim: hi[dim] - lo[dim])
-                    mid = (lo[d] + hi[d]) // 2
-                    hi_left = tuple(
-                        mid if k == d else hi[k]
-                        for k in range(grid.num_dims)
-                    )
-                    lo_right = tuple(
-                        mid + 1 if k == d else lo[k]
-                        for k in range(grid.num_dims)
-                    )
-                    nxt.append((lo, hi_left))
-                    nxt.append((lo_right, hi))
-                boxes = nxt
-            self._bisect_segments(segments, target)
+        strides = np.asarray(grid.strides, dtype=np.int64)
+        resolved = []  # new points per ess.resolve call of this shell
+
+        def resolve(*flats):
+            resolved.append(ess.resolve(np.concatenate(flats)))
+
+        with obs_span("ess.lazy.contour_shell", band=int(target)) as shell:
+            lo = np.asarray([grid.origin], dtype=np.int64)
+            hi = np.asarray([grid.terminus], dtype=np.int64)
+            inside = []
+            lines = []
+            rounds = 0
+            while len(lo):
+                rounds += 1
+                corners = np.concatenate([lo @ strides, hi @ strides])
+                resolve(corners, *inside)
+                band_lo, band_hi = self.band_of_costs(
+                    ess._costs[corners]
+                ).reshape(2, -1)
+                # PCM: bands inside the box lie in [band_lo, band_hi].
+                whole = (band_lo == target) & (band_hi == target)
+                inside = [
+                    grid.box_flats(lo[box], hi[box])
+                    for box in np.flatnonzero(whole)
+                ]
+                live = (band_lo <= target) & (band_hi >= target) & ~whole
+                lo, hi = lo[live], hi[live]
+                extent = hi - lo
+                # A box free along one axis only is a gridline stretch
+                # straddling the band: left to the batched bisection.
+                line = np.count_nonzero(extent, axis=1) == 1
+                if line.any():
+                    axis = extent[line].argmax(axis=1)
+                    start = lo[line, axis]
+                    lines.append((
+                        lo[line] @ strides - start * strides[axis],
+                        strides[axis], start, hi[line, axis],
+                        band_lo[live][line], band_hi[live][line],
+                    ))
+                    lo, hi, extent = lo[~line], hi[~line], extent[~line]
+                # Everything else splits its longest axis in two.
+                box = np.arange(len(lo))
+                axis = extent.argmax(axis=1)
+                mid = (lo[box, axis] + hi[box, axis]) // 2
+                hi_left = hi.copy()
+                hi_left[box, axis] = mid
+                lo_right = lo.copy()
+                lo_right[box, axis] = mid + 1
+                lo = np.concatenate([lo, lo_right])
+                hi = np.concatenate([hi_left, hi])
+            if lines:
+                inside.extend(self._bisect_lines(
+                    target, resolve, *map(np.concatenate, zip(*lines))
+                ))
+            if inside:
+                resolve(*inside)
+            shell.set_attr("rounds", rounds)
+            shell.set_attr("resolve_calls", int(np.count_nonzero(resolved)))
+            shell.set_attr("points", int(sum(resolved)))
         self._bands_done.add(target)
 
-    def _bisect_segments(self, segments, target):
+    def _bisect_lines(self, target, resolve, base, stride, start, stop,
+                      band_lo, band_hi):
         """Batched per-gridline bisection of one band's two boundaries.
 
-        Each segment is a gridline stretch known to straddle the band:
+        Line ``i`` is the gridline stretch ``base[i] + stride[i] * k``
+        for ``start[i] <= k <= stop[i]``, known to straddle the band:
         its low end's band is <= ``target`` <= its high end's band.  Two
         monotone binary searches locate the first index whose band
         reaches ``target`` and the last index not beyond it; the stretch
         between them is the band's intersection with the line (possibly
         empty when the band jumps past ``target`` on that line).  All
-        segments advance one probe per round, so the optimizer sees
+        lines advance one probe per round, so the optimizer sees
         ``O(log resolution)`` batched calls instead of one per line.
+        Returns the intersections' flats, one array per non-empty line,
+        for the caller to resolve.
         """
-        if not segments:
-            return
-        ess = self.ess
-        grid = ess.grid
-        n = len(segments)
-        base = np.empty(n, dtype=np.int64)
-        stride = np.empty(n, dtype=np.int64)
-        start = np.empty(n, dtype=np.int64)
-        stop = np.empty(n, dtype=np.int64)
-        band_lo = np.empty(n, dtype=np.int64)
-        band_hi = np.empty(n, dtype=np.int64)
-        for i, (lo, hi, d, blo, bhi) in enumerate(segments):
-            stride[i] = grid.strides[d]
-            base[i] = grid.flat_index(lo) - lo[d] * stride[i]
-            start[i] = lo[d]
-            stop[i] = hi[d]
-            band_lo[i] = blo
-            band_hi[i] = bhi
+        costs = self.ess._costs
 
         def _search(predicate, tighten_low):
             """Converge (low, high) to adjacent indices; the predicate
@@ -546,8 +558,8 @@ class LazyContourSet(ContourSet):
                     break
                 mid = (low[gap] + high[gap]) // 2
                 flats = base[gap] + mid * stride[gap]
-                ess.resolve(flats)
-                hit = predicate(self.band_of_costs(ess._costs[flats]))
+                resolve(flats)
+                hit = predicate(self.band_of_costs(costs[flats]))
                 lo_new = low[gap]
                 hi_new = high[gap]
                 if tighten_low:
@@ -566,11 +578,8 @@ class LazyContourSet(ContourSet):
         # Last index whose band has not passed target.
         lower, _ = _search(lambda b: b <= target, tighten_low=True)
         last = np.where(band_hi <= target, stop, lower)
-        spans = [
+        return [
             base[i] + stride[i] * np.arange(first[i], last[i] + 1,
                                             dtype=np.int64)
-            for i in range(n)
-            if first[i] <= last[i]
+            for i in np.flatnonzero(first <= last)
         ]
-        if spans:
-            ess.resolve(np.concatenate(spans))

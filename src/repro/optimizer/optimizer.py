@@ -13,6 +13,12 @@ algorithms:
   *all* locations at once: each DP entry holds the best cost per
   location plus the argmin alternative, and plans are reconstructed per
   location from the choice arrays afterwards.
+* **Point-sized calls** — "optimize at q" is also the inner loop of the
+  lazy, contour-focused ESS, thousands of calls of one to a few dozen
+  points each.  The alternative lists are therefore compiled once per
+  optimizer into a flat program and small batches are evaluated
+  level-stacked: a few dozen numpy calls per sweep instead of a dozen
+  per alternative (:meth:`Optimizer.optimize`).
 
 The search space is bushy join trees over connected subgraphs (no cross
 products), with physical alternatives per join (hash, sort-merge,
@@ -20,6 +26,9 @@ nested-loop, index nested-loop) and per scan (sequential, index).
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +45,18 @@ from repro.optimizer.plans import (
     ScanNode,
     predicate_selectivity,
 )
+
+#: Largest batch :meth:`Optimizer.optimize` evaluates level-stacked.  The
+#: stacked layout costs a few dozen numpy calls per sweep whatever the
+#: query, but gathers ``(alternatives, N)`` temporaries; the layouts cross
+#: between 600 and 1,200 points and past that the per-alternative loop is
+#: bandwidth-bound and 2-4x faster (docs/performance.md, "The offline
+#: budget").
+STACKED_MAX_POINTS = 512
+
+#: Stack order of a level's alternatives (scans only meet on level 1).
+_OPERATORS = (SEQ_SCAN, INDEX_SCAN, HASH_JOIN, NL_JOIN, MERGE_JOIN,
+              INDEX_NL_JOIN)
 
 
 class _ScanAlt:
@@ -69,19 +90,21 @@ class OptimizationResult:
             location.
     """
 
-    def __init__(self, optimizer, best, choice, num_points):
+    def __init__(self, optimizer, optimal_cost, choice, num_points):
         self._optimizer = optimizer
-        self._best = best
-        self._choice = choice
+        self._choice = choice  # per program row, (N,) alternative indices
         self.num_points = num_points
-        self.optimal_cost = best[optimizer.full_mask]
+        self.optimal_cost = optimal_cost
+
+    def choice(self, mask):
+        """Chosen alternative index per location for one connected mask."""
+        return self._choice[self._optimizer._row_of[mask]]
 
     def plan_at(self, point):
         """Reconstruct the optimal :class:`PlanNode` tree at one location."""
-        cache = {}
-        return self._build(self._optimizer.full_mask, point, cache)
+        return self._build(self._optimizer.full_mask, point, {})
 
-    def plans(self):
+    def plans(self, nodes=None):
         """Reconstruct plans for every location, deduplicated.
 
         Two locations share a plan exactly when they agree on every
@@ -93,48 +116,62 @@ class OptimizationResult:
         per distinct signature — O(|POSP|)-ish recursions instead of one
         per grid point, which dominates ESS build time on fine grids.
 
+        Args:
+            nodes: optional node cache shared by successive sweeps of
+                one optimizer (trees are immutable).  It maps plan keys
+                to their :class:`PlanNode` and load-bearing signatures
+                (``bytes``) to the root they reconstruct, so a signature
+                seen by an earlier sweep costs a dict hit.
+
         Returns:
             (keys, plan_pool): ``keys`` is a list of plan-identity strings
             per location; ``plan_pool`` maps identity -> shared
             :class:`PlanNode` tree.
         """
         optimizer = self._optimizer
-        full = optimizer.full_mask
+        rows = optimizer._rows
         n = self.num_points
+        if nodes is None:
+            nodes = {}
         # Top-down reachability sweep: parents have strictly more bits
         # than their children, so descending-popcount order processes
         # every parent before any of its children.
-        masks = sorted(
-            optimizer._connected_masks, key=lambda m: -bin(m).count("1")
-        )
-        reach = {full: np.ones(n, dtype=bool)}
+        reach = [None] * len(rows)
+        reach[-1] = np.ones(n, dtype=bool)
+        columns = []
         signature_columns = []
-        for mask in masks:
-            reached = reach.get(mask)
+        for row in optimizer._top_down:
+            reached = reach[row]
             if reached is None or not reached.any():
                 continue
-            alts = optimizer.alternatives[mask]
-            branching = len(alts) > 1
-            if branching:
-                chosen = np.asarray(self._choice[mask])
+            alts = rows[row].alts
+            if len(alts) == 1:
+                taken = [(0, reached)]
+            else:
+                chosen = self._choice[row]
                 # Non-load-bearing entries are masked to -1 so they
                 # cannot split otherwise-identical plans.
+                columns.append(optimizer._signature_column[row])
                 signature_columns.append(
                     np.where(reached, chosen, -1).astype(np.int32)
                 )
-            for idx, alt in enumerate(alts):
-                if isinstance(alt, _ScanAlt):
-                    continue
-                selected = reached & (chosen == idx) if branching else reached
-                if not selected.any():
-                    continue
-                prev = reach.get(alt.outer_mask)
-                reach[alt.outer_mask] = (
+                taken = [
+                    (idx, reached & (chosen == idx))
+                    for idx in np.flatnonzero(
+                        np.bincount(chosen[reached], minlength=len(alts))
+                    )
+                ]
+            for idx, selected in taken:
+                op, outer, inner, _, _ = alts[idx]
+                if outer < 0:
+                    continue  # a scan
+                prev = reach[outer]
+                reach[outer] = (
                     selected.copy() if prev is None else prev | selected
                 )
-                if alt.op != INDEX_NL_JOIN:  # INL never walks its inner side
-                    prev = reach.get(alt.inner_mask)
-                    reach[alt.inner_mask] = (
+                if op != INDEX_NL_JOIN:  # INL never walks its inner side
+                    prev = reach[inner]
+                    reach[inner] = (
                         selected.copy() if prev is None else prev | selected
                     )
         if signature_columns:
@@ -144,29 +181,35 @@ class OptimizationResult:
             )
             inverse = inverse.reshape(-1)
         else:  # a query with no plan choices anywhere
+            signatures = np.empty((n, 0), dtype=np.int32)
             representatives = np.zeros(1, dtype=np.int64)
             inverse = np.zeros(n, dtype=np.int64)
-        cache = {}
-        group_keys = [
-            self._build(full, int(point), cache).key
-            for point in representatives
-        ]
-        keys = [group_keys[int(g)] for g in inverse]
-        pool = {}
-        for node in cache.values():
-            pool[node.key] = node
-        # The pool contains all subtrees; restrict to full plans.
-        full_tables = optimizer.all_tables
-        return keys, {
-            k: v for k, v in pool.items() if v.tables == full_tables
-        }
+        # Signatures hold only the columns this sweep reached; spread
+        # over every branching mask they identify a tree across sweeps.
+        canonical = np.full(
+            (len(representatives), len(optimizer._signature_column)), -1,
+            dtype=np.int32,
+        )
+        canonical[:, columns] = signatures[representatives]
+        roots = []
+        for point, signature in zip(representatives, canonical):
+            signature = signature.tobytes()
+            root = nodes.get(signature)
+            if root is None:
+                root = nodes[signature] = self._build(
+                    optimizer.full_mask, int(point), nodes
+                )
+            roots.append(root)
+        root_keys = [root.key for root in roots]
+        keys = [root_keys[group] for group in inverse.tolist()]
+        return keys, dict(zip(root_keys, roots))
 
     def _build(self, mask, point, cache):
         optimizer = self._optimizer
         alts = optimizer.alternatives[mask]
-        idx = int(self._choice[mask][point]) if len(alts) > 1 else 0
+        idx = int(self.choice(mask)[point]) if len(alts) > 1 else 0
         alt = alts[idx]
-        if isinstance(alt, _ScanAlt):
+        if mask & (mask - 1) == 0:
             node = ScanNode(alt.table, alt.method, alt.filters)
         else:
             outer = self._build(alt.outer_mask, point, cache)
@@ -174,9 +217,8 @@ class OptimizationResult:
                 # The indexed inner side is accessed through its index,
                 # never scanned — pin its identity so plan keys do not
                 # vary with a cost-irrelevant scan choice.
-                table = optimizer._table_of(alt.inner_mask)
-                filters = tuple(optimizer.query.filters_on(table))
-                inner = ScanNode(table, INDEX_SCAN, filters)
+                pinned = optimizer.alternatives[alt.inner_mask][0]
+                inner = ScanNode(pinned.table, INDEX_SCAN, pinned.filters)
             else:
                 inner = self._build(alt.inner_mask, point, cache)
             node = JoinNode(alt.op, outer, inner, alt.preds)
@@ -226,6 +268,7 @@ class Optimizer:
 
         self._connected_masks = self._enumerate_connected()
         self.alternatives = self._enumerate_alternatives()
+        self._compile()
 
     # ------------------------------------------------------------------
     # Static structure
@@ -331,11 +374,157 @@ class Optimizer:
         return False
 
     # ------------------------------------------------------------------
+    # The compiled program
+    # ------------------------------------------------------------------
+
+    def _compile(self):
+        """Flatten the alternative lists into the evaluation program.
+
+        Everything an evaluation needs from the query and the schema is
+        looked up here, once: masks become row numbers (``_rows``
+        follows ``_connected_masks``, so a popcount level is a
+        contiguous row range and every alternative's inputs sit in
+        earlier rows), predicates become positions in one selectivity
+        table (``_sel_consts``, with the ``_sel_epps`` positions filled
+        from the environment per call) and base cardinalities become
+        floats.  ``_levels`` is the same table regrouped by level and
+        operator for :meth:`_evaluate_stacked`.
+        """
+        query = self.query
+        schema = query.schema
+        row_of = {mask: row for row, mask in enumerate(self._connected_masks)}
+        positions = {}
+        consts = []
+        epps = []
+
+        def source(pred):
+            position = positions.get(pred.name)
+            if position is None:
+                position = positions[pred.name] = len(consts)
+                if pred.error_prone:
+                    consts.append(np.nan)  # filled from the environment
+                    epps.append((position, pred))
+                else:
+                    consts.append(float(pred.selectivity))
+            return position
+
+        def base_of(singleton_mask):
+            table = schema.table(self._table_of(singleton_mask))
+            return float(table.cardinality)
+
+        rows = []
+        for mask in self._connected_masks:
+            alts = self.alternatives[mask]
+            if mask & (mask - 1) == 0:
+                table = schema.table(self._table_of(mask))
+                base = base_of(mask)
+                filters = alts[0].filters
+                # Fetch volume: rows matched by the indexed filters only.
+                fetch = tuple(
+                    source(f) for f in filters
+                    if table.column(f.column).indexed
+                )
+                rows.append(_Row(
+                    np.array([base]), -1, -1,
+                    tuple(source(f) for f in filters),
+                    tuple(_Alt(alt.method, -1, -1, base, fetch)
+                          for alt in alts),
+                ))
+                continue
+            # Any connected split reproduces the subset cardinality
+            # (order-independence under selectivity independence).
+            split = alts[0]
+            rows.append(_Row(
+                None, row_of[split.outer_mask], row_of[split.inner_mask],
+                tuple(source(p) for p in split.preds),
+                tuple(
+                    _Alt(alt.op, row_of[alt.outer_mask],
+                         row_of[alt.inner_mask],
+                         base_of(alt.inner_mask)
+                         if alt.op == INDEX_NL_JOIN else 0.0, ())
+                    for alt in alts
+                ),
+            ))
+        self._row_of = row_of
+        self._rows = rows
+        self._sel_consts = np.asarray(consts, dtype=float)[:, None]
+        self._sel_epps = epps
+        self._levels = self._stack_levels()
+        # Plan reconstruction walks rows parents-first and signs a plan
+        # by its choices at the branching rows, one column each.
+        self._top_down = sorted(
+            range(len(rows)),
+            key=lambda row: -bin(self._connected_masks[row]).count("1"),
+        )
+        branching = [row for row in self._top_down if len(rows[row].alts) > 1]
+        self._signature_column = {
+            row: column for column, row in enumerate(branching)
+        }
+
+    def _stack_levels(self):
+        """Regroup the row table by popcount level and operator."""
+        levels = []
+        hi = 0
+        for _, masks in itertools.groupby(
+            self._connected_masks, key=lambda mask: bin(mask).count("1")
+        ):
+            lo, hi = hi, hi + len(list(masks))
+            members = self._rows[lo:hi]
+            # Stack order groups the level's alternatives by operator;
+            # the pad matrix maps (mask, alternative index) back to it,
+            # short lists padded with the stack's trailing +inf row.
+            order = sorted(
+                ((member, idx)
+                 for member in range(hi - lo)
+                 for idx in range(len(members[member].alts))),
+                key=lambda at: _OPERATORS.index(members[at[0]].alts[at[1]].op),
+            )
+            stacked = [members[member].alts[idx] for member, idx in order]
+            pad = np.full(
+                (hi - lo, max(len(row.alts) for row in members)), len(order)
+            )
+            for position, at in enumerate(order):
+                pad[at] = position
+            groups = []
+            for op, run in itertools.groupby(alt.op for alt in stacked):
+                start = groups[-1][1].stop if groups else 0
+                groups.append((op, slice(start, start + len(list(run)))))
+            levels.append(_Level(
+                rows=slice(lo, hi),
+                seed=(np.concatenate([row.seed for row in members])[:, None]
+                      if members[0].seed is not None else None),
+                seed_outer=np.asarray([row.outer for row in members]),
+                seed_inner=np.asarray([row.inner for row in members]),
+                card_steps=_product_steps([row.sels for row in members]),
+                groups=groups,
+                out=np.asarray([lo + member for member, _ in order]),
+                outer=np.asarray([alt.outer for alt in stacked]),
+                inner=np.asarray([alt.inner for alt in stacked]),
+                base=np.asarray([alt.base for alt in stacked])[:, None],
+                fetch_steps=_product_steps(
+                    [alt.fetch_sels for alt in stacked
+                     if alt.op == INDEX_SCAN]
+                ),
+                pad=pad,
+            ))
+        return levels
+
+    # ------------------------------------------------------------------
     # The vectorized sweep
     # ------------------------------------------------------------------
 
     def optimize(self, env, num_points=None):
         """Optimize under a selectivity environment.
+
+        One compiled program (:meth:`_compile`) feeds two layouts of the
+        same dynamic program, chosen on ``num_points`` alone: batches up
+        to :data:`STACKED_MAX_POINTS` are evaluated level-stacked (one
+        set of cost-model calls per level and operator, a few dozen
+        numpy calls whatever the query), larger sweeps one alternative
+        at a time (no gathers, no multi-megabyte temporaries).  Both
+        perform the same float operations per point in the same order
+        and break ties towards the first alternative, so their costs,
+        choices and plans are bit-identical.
 
         Args:
             env: mapping epp dimension -> selectivity, each a scalar or an
@@ -345,41 +534,29 @@ class Optimizer:
 
         Returns:
             :class:`OptimizationResult`.
+
+        Raises:
+            OptimizerError: array-valued entries disagree in length, or
+                with an explicit ``num_points``.
         """
-        if num_points is None:
-            num_points = 1
-            for value in env.values():
-                if isinstance(value, np.ndarray):
-                    num_points = int(value.shape[0])
-                    break
-        cards = self._subset_cards(env)
-        best = {}
-        choice = {}
-        model = self.cost_model
-        query = self.query
-
-        for mask in self._connected_masks:
-            alts = self.alternatives[mask]
-            best_cost = None
-            best_idx = None
-            for idx, alt in enumerate(alts):
-                cost = self._alternative_cost(alt, mask, cards, best, env)
-                cost = np.broadcast_to(
-                    np.asarray(cost, dtype=float), (num_points,)
-                )
-                if best_cost is None:
-                    best_cost = np.array(cost, dtype=float)
-                    best_idx = np.zeros(num_points, dtype=np.int16)
-                else:
-                    better = cost < best_cost
-                    if better.any():
-                        best_cost = np.where(better, cost, best_cost)
-                        best_idx = np.where(better, np.int16(idx), best_idx)
-            best[mask] = best_cost
-            choice[mask] = best_idx
-
-        del model, query  # referenced via helpers
-        return OptimizationResult(self, best, choice, num_points)
+        values = {dim: np.asarray(v, dtype=float) for dim, v in env.items()}
+        shapes = {v.shape for v in values.values() if v.ndim}
+        if num_points is not None:
+            shapes.add((int(num_points),))
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise OptimizerError(
+                "environment entries must be scalars or (N,) arrays of one "
+                f"length; got shapes {sorted(shapes)}"
+                + ("" if num_points is None
+                   else f" with num_points={num_points}")
+            )
+        (num_points,) = shapes.pop() if shapes else (1,)
+        sel = [None] * len(self._sel_consts)
+        for position, pred in self._sel_epps:
+            sel[position] = predicate_selectivity(pred, self.query, values)
+        if num_points <= STACKED_MAX_POINTS:
+            return self._evaluate_stacked(sel, num_points)
+        return self._evaluate_bulk(sel, num_points)
 
     def optimize_at(self, selectivities):
         """Single-point convenience: plan for one epp selectivity vector.
@@ -390,65 +567,181 @@ class Optimizer:
         result = self.optimize(env, num_points=1)
         return result.plan_at(0), float(result.optimal_cost[0])
 
-    def _subset_cards(self, env):
-        """Output cardinalities for every connected mask under ``env``."""
-        query = self.query
-        cards = {}
-        for mask in self._connected_masks:
-            if mask & (mask - 1) == 0:
-                table = self._table_of(mask)
-                card = float(query.schema.table(table).cardinality)
-                for f in query.filters_on(table):
-                    card = card * predicate_selectivity(f, query, env)
-                cards[mask] = card
-                continue
-            # Any connected split reproduces the subset cardinality
-            # (order-independence under selectivity independence).
-            sub = mask & -mask
-            # Grow `sub` into a connected component strictly inside mask.
-            alt = self.alternatives[mask][0]
-            card = cards[alt.outer_mask] * cards[alt.inner_mask]
-            for pred in alt.preds:
-                card = card * predicate_selectivity(pred, query, env)
-            cards[mask] = card
-            del sub
-        return cards
-
-    def _alternative_cost(self, alt, mask, cards, best, env):
+    def _evaluate_stacked(self, epp_sel, n):
+        """The DP over ``(rows, n)`` matrices, one level at a time."""
         model = self.cost_model
-        query = self.query
-        if isinstance(alt, _ScanAlt):
-            base = float(query.schema.table(alt.table).cardinality)
-            out = cards[mask]
-            if alt.method == INDEX_SCAN:
-                # Fetch volume: rows matched by the indexed filters only.
-                fetch = base
-                for f in alt.filters:
-                    if query.schema.table(alt.table).column(f.column).indexed:
-                        fetch = fetch * predicate_selectivity(f, query, env)
-                return model.scan_index(base, np.maximum(fetch, out))
-            return model.scan_seq(base, out)
+        sel = np.empty((len(epp_sel), n))
+        sel[:] = self._sel_consts
+        for position, _ in self._sel_epps:
+            sel[position] = epp_sel[position]
+        num_rows = len(self._rows)
+        cards = np.empty((num_rows, n))
+        best = np.empty((num_rows, n))
+        choice = np.empty((num_rows, n), dtype=np.int16)
+        for level in self._levels:
+            if level.seed is None:
+                card = cards[level.seed_outer] * cards[level.seed_inner]
+            else:
+                card = np.repeat(level.seed, n, axis=1)
+            cards[level.rows] = _product(card, level.card_steps, sel)
+            stack = np.empty((len(level.out) + 1, n))
+            stack[-1] = np.inf
+            for op, group in level.groups:
+                base = level.base[group]
+                fetch = None
+                if op == INDEX_SCAN:
+                    fetch = _product(
+                        np.repeat(base, n, axis=1), level.fetch_steps, sel
+                    )
+                stack[group] = _alternative_costs(
+                    model, op, base, cards[level.out[group]], fetch,
+                    best, cards, level.outer[group], level.inner[group],
+                )
+            padded = stack[level.pad]
+            # argmin returns the first minimum: the strict-< tie-break.
+            choice[level.rows] = padded.argmin(axis=1)
+            best[level.rows] = padded.min(axis=1)
+        return OptimizationResult(self, best[-1], choice, n)
 
-        outer_cost = best[alt.outer_mask]
-        inner_cost = best[alt.inner_mask]
-        outer_card = cards[alt.outer_mask]
-        inner_card = cards[alt.inner_mask]
-        out = cards[mask]
-        if alt.op == HASH_JOIN:
-            local = model.join_hash(outer_card, inner_card, out)
-            return outer_cost + inner_cost + local
-        if alt.op == MERGE_JOIN:
-            local = model.join_merge(outer_card, inner_card, out)
-            return outer_cost + inner_cost + local
-        if alt.op == NL_JOIN:
-            local = model.join_nl(outer_card, inner_card, out)
-            return outer_cost + inner_cost + local
-        if alt.op == INDEX_NL_JOIN:
-            inner_table = self._table_of(alt.inner_mask)
-            inner_base = float(query.schema.table(inner_table).cardinality)
-            # Index matches precede residual filters on the inner side.
-            ratio = inner_base / np.maximum(inner_card, 1e-12)
-            match_card = out * np.minimum(ratio, inner_base)
-            local = model.join_inl(outer_card, inner_base, match_card)
-            return outer_cost + local  # the inner side is never scanned
-        raise OptimizerError(f"unknown operator {alt.op!r}")
+    def _evaluate_bulk(self, epp_sel, n):
+        """The DP one alternative at a time over ``(n,)`` rows.
+
+        Rows that depend on no array-valued selectivity stay ``(1,)``
+        and broadcast where a varying row meets them.
+        """
+        model = self.cost_model
+        sel = [
+            const if given is None else given.reshape(-1)
+            for const, given in zip(self._sel_consts, epp_sel)
+        ]
+        cards = []
+        best = []
+        choice = []
+        for seed, outer, inner, sels, alts in self._rows:
+            card = seed if seed is not None else cards[outer] * cards[inner]
+            for position in sels:
+                card = card * sel[position]
+            cards.append(card)
+            best_cost = None
+            best_idx = np.zeros(1, dtype=np.int16)
+            for idx, (op, outer, inner, base, fetch_sels) in enumerate(alts):
+                fetch = None
+                if op == INDEX_SCAN:
+                    fetch = base
+                    for position in fetch_sels:
+                        fetch = fetch * sel[position]
+                cost = _alternative_costs(
+                    model, op, base, card, fetch, best, cards, outer, inner
+                )
+                if best_cost is None:
+                    best_cost = cost
+                    continue
+                better = cost < best_cost
+                if better.any():
+                    best_cost = np.where(better, cost, best_cost)
+                    best_idx = np.where(better, np.int16(idx), best_idx)
+            best.append(best_cost)
+            choice.append(np.broadcast_to(best_idx, (n,)))
+        optimal = np.array(np.broadcast_to(best[-1], (n,)))
+        return OptimizationResult(self, optimal, choice, n)
+
+
+class _Alt(NamedTuple):
+    """One compiled alternative of a program row."""
+
+    op: str  #: scan method or join operator
+    outer: int  #: row of the outer input (-1 for a scan)
+    inner: int  #: row of the inner input (-1 for a scan)
+    base: float  #: cardinality of the scanned / index-probed relation
+    fetch_sels: tuple  #: index scan: positions of the indexed filters
+
+
+class _Row(NamedTuple):
+    """One connected mask of the compiled program.
+
+    Its cardinality is ``seed`` (a base relation) or ``cards[outer] *
+    cards[inner]``, times the selectivities at ``sels`` in order.
+    """
+
+    seed: object  #: ``(1,)`` base cardinality, None for a join
+    outer: int
+    inner: int
+    sels: tuple
+    alts: tuple  #: of :class:`_Alt`, in ``Optimizer.alternatives`` order
+
+
+class _Level(NamedTuple):
+    """One popcount level of the compiled program, in stack order.
+
+    ``seed`` (base cardinalities, scan level) or ``seed_outer`` /
+    ``seed_inner`` start the cardinalities of the level's ``rows`` and
+    ``card_steps`` finish them; ``out``/``outer``/``inner``/``base``
+    hold one entry per alternative, grouped by operator as ``groups``
+    slices them; ``pad`` maps every mask's alternative list onto the
+    stack.
+    """
+
+    rows: slice
+    seed: object
+    seed_outer: np.ndarray
+    seed_inner: np.ndarray
+    card_steps: list
+    groups: list
+    out: np.ndarray
+    outer: np.ndarray
+    inner: np.ndarray
+    base: np.ndarray
+    fetch_steps: list
+    pad: np.ndarray
+
+
+def _product_steps(sel_lists):
+    """Per-position ``(rows, selectivity indices)`` of ragged lists."""
+    steps = []
+    for j in range(max((len(sels) for sels in sel_lists), default=0)):
+        sub = [k for k, sels in enumerate(sel_lists) if len(sels) > j]
+        steps.append((
+            np.asarray(sub), np.asarray([sel_lists[k][j] for k in sub]),
+        ))
+    return steps
+
+
+def _product(seed, steps, sel):
+    """Multiply stacked rows by their selectivities, in predicate order."""
+    for sub, positions in steps:
+        seed[sub] = seed[sub] * sel[positions]
+    return seed
+
+
+def _alternative_costs(model, op, base, out, fetch, best, cards, outer, inner):
+    """Cost of alternatives of one operator, in either layout.
+
+    ``out`` is the output cardinality, ``base`` the scanned (or
+    index-probed) relation's cardinality, ``fetch`` an index scan's
+    fetch volume; ``outer``/``inner`` index the inputs' rows of ``best``
+    and ``cards`` — one row each over ``(N,)`` arrays in the bulk
+    layout, ``k`` rows each over ``(k, N)`` stacks in the stacked one.
+    Every operand broadcasts, so this is the one statement of how an
+    alternative's cost is assembled from the cost-model formulas.
+    """
+    if op == SEQ_SCAN:
+        return model.scan_seq(base, out)
+    if op == INDEX_SCAN:
+        return model.scan_index(base, np.maximum(fetch, out))
+    outer_card = cards[outer]
+    inner_card = cards[inner]
+    if op == INDEX_NL_JOIN:
+        # Index matches precede residual filters on the inner side.
+        ratio = base / np.maximum(inner_card, 1e-12)
+        match_card = out * np.minimum(ratio, base)
+        local = model.join_inl(outer_card, base, match_card)
+        return best[outer] + local  # the inner side is never scanned
+    if op == HASH_JOIN:
+        local = model.join_hash(outer_card, inner_card, out)
+    elif op == MERGE_JOIN:
+        local = model.join_merge(outer_card, inner_card, out)
+    elif op == NL_JOIN:
+        local = model.join_nl(outer_card, inner_card, out)
+    else:
+        raise OptimizerError(f"unknown operator {op!r}")
+    return best[outer] + best[inner] + local

@@ -257,6 +257,67 @@ class TestEconomy:
         assert REGISTRY.counter("ess_optimizer_calls") >= count
 
 
+class TestWalkEconomy:
+    """The shell walk resolves what the per-box walk of PR 14 resolved,
+    in one optimizer call per recursion round."""
+
+    #: First-touch SpillBound run at the true location of 4D_Q26 at
+    #: resolution 20, as measured at the parent commit (which issued 304
+    #: optimizer calls for it: one per box wholly inside a band).
+    PARENT_RESOLVED = 3949
+    PARENT_MASK_CRC = 1282122197
+
+    @pytest.fixture
+    def first_touch(self):
+        from repro.bench import workloads
+        from repro.obs import trace
+        from repro.obs.metrics import REGISTRY
+
+        workloads.clear_cache()
+        instance = workloads.load("4D_Q26", profile="smoke", resolution=20,
+                                  ess_mode="lazy")
+        tracer = trace.Tracer()
+        previous = trace.install_tracer(tracer)
+        before = {name: REGISTRY.counter(name)
+                  for name in ("ess_lazy_resolves", "ess_optimizer_calls")}
+        try:
+            SpillBound(instance.ess, instance.contours).run(
+                instance.query.true_location(), trace=True)
+        finally:
+            trace.install_tracer(previous)
+            workloads.clear_cache()
+        spent = {name: REGISTRY.counter(name) - count
+                 for name, count in before.items()}
+        shells = [span.attrs for span in tracer.spans
+                  if span.name == "ess.lazy.contour_shell"]
+        return instance.ess, shells, spent
+
+    def test_resolves_exactly_the_parents_points(self, first_touch):
+        import zlib
+
+        lazy, _, spent = first_touch
+        assert lazy.num_resolved == self.PARENT_RESOLVED
+        # Construction resolved the two extreme corners before counting.
+        assert spent["ess_optimizer_calls"] == self.PARENT_RESOLVED - 2
+        packed = np.packbits(lazy._resolved_mask).tobytes()
+        assert zlib.crc32(packed) == self.PARENT_MASK_CRC
+
+    def test_one_optimizer_call_per_round(self, first_touch):
+        import math
+
+        lazy, shells, spent = first_touch
+        assert shells
+        # Per shell: a call per box-recursion round, then two bisections
+        # of ceil(log2(resolution)) probes and the call for their spans.
+        bisection = 2 * math.ceil(math.log2(max(lazy.grid.resolution))) + 1
+        for shell in shells:
+            assert shell["resolve_calls"] <= shell["rounds"] + bisection
+        assert sum(s["points"] for s in shells) <= spent["ess_optimizer_calls"]
+        budget = sum(s["rounds"] + bisection for s in shells)
+        assert budget < 304  # the bound below has teeth
+        assert spent["ess_lazy_resolves"] <= budget
+
+
 class TestRandomizedDifferential:
     """PR-4's workload generator drives lazy-vs-eager differentials."""
 

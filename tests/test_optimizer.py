@@ -6,7 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import DEFAULT_COST_MODEL, Optimizer
+from repro import DEFAULT_COST_MODEL, ESSGrid, Optimizer
+from repro.bench import workloads
+from repro.errors import OptimizerError, QueryError
+from repro.optimizer import optimizer as optimizer_module
 from repro.optimizer.plans import plan_cost
 from tests.conftest import make_star_query, make_toy_query
 
@@ -124,3 +127,115 @@ class TestGridSweep:
     def test_scalar_env_defaults_to_one_point(self, toy_optimizer):
         result = toy_optimizer.optimize({0: 1e-5, 1: 1e-5})
         assert result.num_points == 1
+
+    def test_mismatched_array_lengths_rejected(self, toy_optimizer):
+        with pytest.raises(OptimizerError, match="one length"):
+            toy_optimizer.optimize({0: np.full(3, 1e-5), 1: np.full(4, 1e-5)})
+
+    def test_num_points_disagreeing_with_arrays_rejected(self, toy_optimizer):
+        env = {0: np.full(3, 1e-5), 1: 1e-5}
+        with pytest.raises(OptimizerError, match="num_points=5"):
+            toy_optimizer.optimize(env, num_points=5)
+        assert toy_optimizer.optimize(env, num_points=3).num_points == 3
+
+    def test_missing_epp_dimension_rejected(self, toy_optimizer):
+        with pytest.raises(QueryError, match="missing epp dimension 1"):
+            toy_optimizer.optimize({0: 1e-5})
+
+
+# ----------------------------------------------------------------------
+# The two evaluation layouts
+# ----------------------------------------------------------------------
+
+LIMIT = optimizer_module.STACKED_MAX_POINTS
+
+
+def _layout_case(name):
+    """``(query, grid)`` with more grid points than the stacked limit."""
+    if name == "toy":
+        return make_toy_query(), ESSGrid(2, resolution=40, sel_min=1e-7)
+    if name == "star":
+        return make_star_query(3), ESSGrid(3, resolution=12, sel_min=1e-6)
+    instance = workloads.load("4D_Q26", profile="smoke", ess_mode="lazy")
+    return instance.query, instance.ess.grid
+
+
+def _sweep(optimizer, env, layout, monkeypatch):
+    """One ``optimize`` call with the layout forced (or left to pick)."""
+    limit = {"stacked": 10**9, "bulk": 0, "auto": LIMIT}[layout]
+    monkeypatch.setattr(optimizer_module, "STACKED_MAX_POINTS", limit)
+    return optimizer.optimize(env)
+
+
+def _assert_rows_equal(optimizer, result, reference, flats):
+    """``result`` equals rows ``flats`` of the full-grid ``reference``."""
+    assert np.array_equal(result.optimal_cost, reference.optimal_cost[flats])
+    for mask in optimizer.alternatives:
+        assert np.array_equal(
+            result.choice(mask), reference.choice(mask)[flats]
+        ), f"choice arrays differ on mask {mask:b}"
+    keys, pool = result.plans()
+    reference_keys, _ = reference.plans()
+    assert keys == [reference_keys[flat] for flat in flats]
+    assert set(pool) == set(keys)
+
+
+@pytest.mark.parametrize("left_deep", [False, True],
+                         ids=["bushy", "left_deep"])
+@pytest.mark.parametrize("case", ["toy", "star", "4D_Q26"])
+class TestLayoutIdentity:
+    """The level-stacked evaluator, the per-alternative evaluator and
+    the full-grid sweep agree bit for bit on either side of the limit.
+
+    The bushy star grid holds exact cost ties at the minimum (mirrored
+    nested-loop alternatives), so turning either layout's tie-break into
+    last-index fails here; turning both is pinned by the golden traces.
+    """
+
+    SIZES = (1, 2, 7, LIMIT - 1, LIMIT, LIMIT + 1, 3 * LIMIT)
+
+    @pytest.fixture
+    def setting(self, case, left_deep, monkeypatch):
+        query, grid = _layout_case(case)
+        optimizer = Optimizer(query, left_deep=left_deep)
+        reference = _sweep(optimizer, grid.environment(), "bulk", monkeypatch)
+        return optimizer, grid, reference
+
+    def test_array_environments(self, setting, monkeypatch):
+        optimizer, grid, reference = setting
+        rng = np.random.default_rng(15)
+        for size in self.SIZES:
+            flats = rng.integers(0, grid.num_points, size=size)
+            env = grid.environment_at(flats)
+            for layout in ("stacked", "bulk", "auto"):
+                result = _sweep(optimizer, env, layout, monkeypatch)
+                assert result.num_points == size
+                _assert_rows_equal(optimizer, result, reference, flats)
+
+    def test_mixed_scalar_and_array_environments(self, setting, monkeypatch):
+        optimizer, grid, reference = setting
+        rng = np.random.default_rng(16)
+        for size in self.SIZES:
+            coords = [rng.integers(0, r, size=size) for r in grid.resolution]
+            coords[0][:] = coords[0][0]  # dimension 0 is passed as a scalar
+            flats = sum(c * s for c, s in zip(coords, grid.strides))
+            env = grid.environment_at(flats)
+            env[0] = float(env[0][0])
+            for layout in ("stacked", "bulk", "auto"):
+                result = _sweep(optimizer, env, layout, monkeypatch)
+                assert result.num_points == size
+                _assert_rows_equal(optimizer, result, reference, flats)
+
+    def test_all_scalar_environments(self, setting, monkeypatch):
+        optimizer, grid, reference = setting
+        reference_keys, _ = reference.plans()
+        rng = np.random.default_rng(17)
+        for flat in rng.integers(0, grid.num_points, size=7):
+            sels = grid.selectivities_of(flat)
+            for layout in ("stacked", "bulk"):
+                result = _sweep(optimizer, dict(enumerate(sels)), layout,
+                                monkeypatch)
+                _assert_rows_equal(optimizer, result, reference, [flat])
+            plan, cost = optimizer.optimize_at(sels)
+            assert cost == reference.optimal_cost[flat]
+            assert plan.key == reference_keys[flat]
