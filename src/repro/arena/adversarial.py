@@ -131,13 +131,11 @@ class AdversarialESS(ESS):
         d = self.grid.num_dims
         return [(int(plan_id) + k) % d for k in range(d)]
 
-    def spill_cost_curve(self, plan_id, dim, fixed_coords):
-        self._check_plan(plan_id)
-        return np.full(self.grid.resolution[dim], self.scale)
-
-    def _subtree_dims(self, plan_id, dim):
-        self._check_plan(plan_id)
-        return (int(dim),)
+    def spill_cost_curves(self, plan_ids, dims, coords):
+        for plan_id in plan_ids:
+            self._check_plan(plan_id)
+        return [np.full(self.grid.resolution[dim], self.scale)
+                for dim in dims]
 
 
 def adversarial_knobs(seed):

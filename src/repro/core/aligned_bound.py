@@ -31,11 +31,12 @@ bouquet machinery can execute (documented substitution, DESIGN.md).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.spill_bound import SpillBound, learnable_index
+from repro.core.spill_bound import SpillBound, run_starts
 from repro.errors import DiscoveryError
 from repro.ess.contours import DEFAULT_COST_RATIO
 
@@ -57,6 +58,56 @@ def set_partitions(items):
             yield partial[:k] + [(first,) + part] + partial[k + 1:]
         # ...or starts its own.
         yield [(first,)] + partial
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_table(num_items):
+    """:func:`set_partitions` of ``num_items`` positions as part bitmasks:
+    row ``p`` of the ``(partitions, num_items)`` table lists partition
+    ``p``'s parts in enumeration order — the order their penalties are
+    summed in — zero-padded, and ``sizes[p]`` counts them."""
+    partitions = [
+        [sum(1 << item for item in part) for part in partition]
+        for partition in set_partitions(range(num_items))
+    ]
+    table = np.zeros((len(partitions), num_items), dtype=np.int64)
+    for row, masks in zip(table, partitions):
+        row[:len(masks)] = masks
+    sizes = np.asarray([len(masks) for masks in partitions])
+    table.flags.writeable = sizes.flags.writeable = False  # shared by callers
+    return table, sizes
+
+
+def _choose_partitions(total, sizes):
+    """The partition each slice's scan ends on, or ``-1`` (none feasible).
+
+    ``total[slice, p]`` is partition ``p``'s total penalty (``inf``:
+    infeasible) and ``sizes[p]`` its number of parts.  Per slice, the
+    scan in enumeration order: a partition is taken when cheaper than
+    the incumbent by more than 1e-12, or within 1e-12 of it with fewer
+    parts — minimum total, ties to fewer parts, else the first
+    enumerated.  (Plain Python: slices mostly have two to five
+    partitions, where a vectorized scan is all call overhead.)
+    """
+    sizes = sizes.tolist()
+    chosen = []
+    for costs in total.tolist():
+        best, least, fewest = -1, np.inf, 0
+        for partition, (cost, size) in enumerate(zip(costs, sizes)):
+            if cost < least - 1e-12 or (
+                    abs(cost - least) <= 1e-12 and size < fewest):
+                best, least, fewest = partition, cost, size
+        chosen.append(best)
+    return np.asarray(chosen)
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(items):
+    """The sub-tuple of ``items`` each bitmask over its positions picks."""
+    return tuple(
+        tuple(item for k, item in enumerate(items) if mask >> k & 1)
+        for mask in range(1 << len(items))
+    )
 
 
 @dataclass(frozen=True)
@@ -89,16 +140,14 @@ class AlignedBound(SpillBound):
     """AlignedBound executor/simulator (Algorithm 2).
 
     Shares SpillBound's state-cached contour machinery and 1-D tail;
-    overrides the per-contour crossing strategy with the partition-cover
-    search.
+    overrides the per-contour crossing strategy (:meth:`_plan_states`)
+    with the partition-cover search.
     """
 
     def __init__(self, ess, contour_set=None, cost_ratio=DEFAULT_COST_RATIO,
                  prior=None):
         super().__init__(ess, contour_set, cost_ratio, prior=prior)
-        self._part_cache = {}
-        self._partition_cache = {}
-        self._spiller_pool_cache = {}
+        self._local_plan_cache = {}
         #: Largest replacement penalty seen across all runs (Table 4).
         self.observed_max_penalty = 1.0
 
@@ -130,8 +179,10 @@ class AlignedBound(SpillBound):
         and restricting the pool keeps the search tractable on large
         POSPs (the engine feature this simulates — "least cost plan that
         spills on a chosen epp" — is likewise a local re-optimization).
+        The pool ``P_dim`` of a state is the subset whose spill order
+        leads with ``dim`` once the state's learnt epps are struck out.
         """
-        cached = self._spiller_pool_cache.get(("local", contour_index))
+        cached = self._local_plan_cache.get(contour_index)
         if cached is None:
             ids = []
             lo = max(1, contour_index - 1)
@@ -140,248 +191,210 @@ class AlignedBound(SpillBound):
                 for pid in self.contours.contour(index).unique_plan_ids():
                     if pid not in ids:
                         ids.append(pid)
-            cached = ids
-            self._spiller_pool_cache[("local", contour_index)] = cached
+            cached = self._local_plan_cache[contour_index] = np.asarray(
+                ids, dtype=np.int64
+            )
         return cached
 
-    def _spiller_pool(self, dim, remaining_key, contour_index):
-        """Contour-local plans whose spill order (under ``remaining``)
-        leads with ``dim`` — the candidate replacements ``P_dim``."""
-        key = (dim, remaining_key, contour_index)
-        cached = self._spiller_pool_cache.get(key)
-        if cached is None:
-            remaining = list(remaining_key)
-            cached = [
-                pid for pid in self._local_plans(contour_index)
-                if self.ess.spill_dimension(pid, remaining) == dim
+    # ------------------------------------------------------------------
+    # Partition-cover search (steps S0-S2 of Algorithm 2), for sibling
+    # states of one contour together
+    # ------------------------------------------------------------------
+
+    def _plan_states(self, contour_index, learned_keys):
+        """The minimum-penalty partition's steps for sibling states: per
+        state, one :class:`PartStep` per part of the chosen partition of
+        its active dimensions (those some location of the effective
+        slice spills on), in ascending leader order.  States sharing a
+        learnt-dimension set and an active set are covered together."""
+        plans = [[] for _ in learned_keys]
+        contour = self.contours.contour(contour_index)
+        for slices in self._sibling_slices(contour, learned_keys):
+            first = slices.extreme_spillers()
+            active = first >= 0
+            pattern = active @ (1 << np.arange(active.shape[1]))
+            for bits in sorted(set(pattern.tolist()) - {0}):
+                alike = np.flatnonzero(pattern == bits)
+                cover, steps = self._cover_slices(
+                    contour, slices, first,
+                    np.flatnonzero(active[alike[0]]), alike,
+                )
+                for number, step in zip(cover.tolist(), steps):
+                    plans[slices.states[number]].append(step)
+        return plans
+
+    def _cover_slices(self, contour, siblings, first, active, slices):
+        """Partition covers of the ``slices`` (numbers in ``siblings``)
+        whose active dimensions are ``active``.
+
+        Returns ``(slice, steps)``: each chosen part's slice and its
+        :class:`PartStep`, slice by slice in ascending leader order.
+        Every array below is indexed ``[slice, part, leader]``: parts
+        are the bitmasks over the active dimensions (part 0, the empty
+        set, pads short partitions at no penalty), leaders positions.
+        """
+        dims = active.tolist()
+        rows = siblings.rows
+        budget = contour.budget
+        num = len(dims)
+        if num == 1:
+            # One active dimension, nothing to partition: the cover is
+            # SpillBound's step for it.
+            at = rows[first[slices, dims[0]]]
+            locations = contour.coords[at].tolist()
+            pids = contour.plan_ids[at].tolist()
+            curves, learnable = self._curves_and_reach(
+                dims * len(at), pids, locations, [budget] * len(at),
+                [location[dims[0]] for location in locations],
+            )
+            return slices, [
+                PartStep((dims[0],), dims[0], pid, tuple(location), budget,
+                         learn_idx, curve, 1.0, True)
+                for pid, location, learn_idx, curve in zip(
+                    pids, locations, learnable, curves)
             ]
-            self._spiller_pool_cache[key] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # PSA per part
-    # ------------------------------------------------------------------
-
-    def _seed_singleton_parts(self, contour_index, learned_key, active,
-                              coords, plan_ids, point_spill):
-        """Precompute every singleton part's step in one vectorized pass.
-
-        A singleton part's PSA always holds natively (each member spills
-        on the part's only dimension), so its step only needs the first
-        extreme-coordinate member per dimension — one masked argmax over
-        an ``(active, contour)`` matrix resolves all of them at once,
-        instead of a mask/gather round-trip per part.  Seeds
-        ``_part_cache`` so the partition enumeration's
-        :meth:`_evaluate_part` calls hit for singletons.
-        """
-        if not active:
-            return
-        budget = self.contours.budget(contour_index)
-        eq = point_spill[None, :] == np.asarray(active)[:, None]
-        cols = coords[:, active].T
-        first_rows = np.where(eq, cols, -1).argmax(axis=1)
-        for k, dim in enumerate(active):
-            key = (contour_index, learned_key, (dim,))
-            if key in self._part_cache:
-                continue
-            row = int(first_rows[k])
-            max_j = int(coords[row, dim])
-            pid = int(plan_ids[row])
-            location = tuple(int(c) for c in coords[row])
-            curve = self.ess.spill_cost_curve(pid, dim, location)
-            self._part_cache[key] = PartStep(
-                dims=(dim,),
-                leader=dim,
-                plan_id=pid,
-                location=location,
-                budget=budget,
-                learn_idx=learnable_index(curve, budget, max_j),
-                curve=curve,
-                penalty=1.0,
-                native=True,
+        coord = siblings.coord[:, active]
+        member = (np.arange(1 << num)[:, None] >> np.arange(num)) & 1 == 1
+        # reach[slice, s, l]: the largest l coordinate among the slice's
+        # rows spilling on s.
+        reach = np.maximum.reduceat(
+            np.where(
+                (siblings.spill[:, None] == np.asarray(dims))[:, :, None],
+                coord[:, None, :], -1,
+            ),
+            siblings.starts, axis=0,
+        )[slices]
+        # A part's extreme leader coordinate, over all its spillers; PSA
+        # holds natively when the leader's own spillers attain it — the
+        # step is then SpillBound's for the leader.
+        extreme = np.where(
+            member[None, :, :, None], reach[:, None, :, :], -1
+        ).max(axis=2)
+        native = member & (
+            extreme == reach.diagonal(axis1=1, axis2=2)[:, None, :]
+        )
+        spend = np.where(native, budget, np.inf)
+        plan = np.zeros(spend.shape, dtype=np.int64)
+        where = np.zeros(spend.shape, dtype=np.int64)
+        # Induce PSA elsewhere: cheapest (plan in P_leader, location in
+        # S) pair, S being the slice's locations with the extreme leader
+        # coordinate (Section 5.2.1) — one search per distinct
+        # (slice, leader, extreme coordinate).
+        induce = member & ~native
+        if induce.any():
+            # (The pool before the spill orders: on a lazy surface
+            # fetching it can grow the POSP.)
+            local = self._local_plans(contour.index)
+            leads_with = self._first_unlearnt(siblings.learnt)[local]
+            slice_of_row = np.repeat(
+                np.arange(len(siblings.starts)),
+                np.diff(np.append(siblings.starts, len(rows))),
             )
+        for lead, dim in enumerate(dims):
+            which, part = np.nonzero(induce[:, :, lead])
+            pool = local[leads_with == dim] if len(which) else which
+            if not len(pool):
+                continue  # spend stays inf: no replacement, no such leader
+            span = self.ess.grid.resolution[dim]
+            requests, request = np.unique(
+                slices[which] * span + extreme[which, part, lead],
+                return_inverse=True,
+            )
+            cost, pid, row = self._induce(
+                contour, pool, rows,
+                slice_of_row * span + coord[:, lead], requests,
+            )
+            spend[which, part, lead] = np.maximum(budget, cost)[request]
+            plan[which, part, lead] = pid[request]
+            where[which, part, lead] = row[request]
+        penalty = spend / budget
+        # Best leader per part, as the scalar scan over ascending
+        # leaders: a later one wins only by more than 1e-12.
+        part_penalty = np.full(penalty.shape[:2], np.inf)
+        part_leader = np.zeros(penalty.shape[:2], dtype=np.int64)
+        for lead in range(num):
+            better = penalty[:, :, lead] < part_penalty - 1e-12
+            part_penalty[better] = penalty[:, :, lead][better]
+            part_leader[better] = lead
+        # Total penalty of every partition, parts added in enumeration
+        # order.
+        table, sizes = _partition_table(num)
+        part_penalty[:, 0] = 0.0
+        total = part_penalty[:, table[:, 0]]
+        for column in range(1, num):
+            total = total + part_penalty[:, table[:, column]]
+        chosen = _choose_partitions(total, sizes)
+        # The all-singletons partition is always feasible (it is
+        # SpillBound's own choice), so every slice has chosen one.
+        if (chosen < 0).any():
+            raise DiscoveryError(
+                f"no feasible partition on contour {contour.index}"
+            )
+        which, column = np.nonzero(table[chosen])
+        part = table[chosen][which, column]
+        lead = part_leader[which, part]
+        # Slice by slice, in ascending leader order.
+        order = np.lexsort((lead, which))
+        which, part, lead = which[order], part[order], lead[order]
+        is_native = native[which, part, lead]
+        at = np.where(
+            is_native,
+            rows[first[slices[which], active[lead]]],
+            where[which, part, lead],
+        )
+        pids = np.where(
+            is_native, contour.plan_ids[at], plan[which, part, lead]
+        ).tolist()
+        leaders = active[lead].tolist()
+        locations = contour.coords[at].tolist()
+        budgets = spend[which, part, lead].tolist()
+        curves, learnable = self._curves_and_reach(
+            leaders, pids, locations, budgets,
+            extreme[which, part, lead].tolist(),
+        )
+        part_dims = _subsets(tuple(dims))
+        steps = [
+            PartStep(part_dims[mask], *fields)
+            for mask, *fields in zip(
+                part.tolist(), leaders, pids, map(tuple, locations), budgets,
+                learnable, curves, penalty[which, part, lead].tolist(),
+                is_native.tolist(),
+            )
+        ]
+        return slices[which], steps
 
-    def _evaluate_part(self, contour_index, learned_key, part, context):
-        """Best (leader, plan, penalty) for one candidate part ``T``.
+    def _induce(self, contour, pool, rows, row_code, requests):
+        """The cheapest (pool plan, location) pair of each request.
 
-        Returns a :class:`PartStep`, or ``None`` when no dimension of the
-        part can act as leader (no native PSA and no replacement plan).
+        A request is a code of ``row_code``'s kind (slice and leader
+        coordinate in one number); its locations are the contour
+        ``rows`` carrying that code.  Returns per request the minimum
+        cost, the first pool plan and that plan's first location
+        attaining it: a row-major ``argmin`` over (pool, locations).
         """
-        cache_key = (contour_index, learned_key, part)
-        if cache_key in self._part_cache:
-            return self._part_cache[cache_key]
-
-        coords, plan_ids, point_spill, remaining_key = context
-        budget = self.contours.budget(contour_index)
-        in_part = point_spill == part[0]
-        for dim in part[1:]:
-            in_part |= point_spill == dim
-        best = None
-        if in_part.any():
-            for leader in part:
-                step = self._leader_step(
-                    leader, part, in_part, coords, plan_ids, point_spill,
-                    budget, remaining_key, contour_index,
-                )
-                if step is None:
-                    continue
-                if best is None or step.penalty < best.penalty - 1e-12 or (
-                    abs(step.penalty - best.penalty) <= 1e-12
-                    and step.leader < best.leader
-                ):
-                    best = step
-        self._part_cache[cache_key] = best
-        return best
-
-    def _leader_step(self, leader, part, in_part, coords, plan_ids,
-                     point_spill, budget, remaining_key, contour_index):
-        """PSA for part ``T`` with a specific leader dimension."""
-        lead_col = coords[:, leader]
-        if len(part) == 1:
-            # Every member of a singleton part spills on its only
-            # dimension, so PSA always holds natively at the first
-            # extreme-coordinate location (masked argmax returns the
-            # first member row achieving the maximum).
-            row = int(np.where(in_part, lead_col, -1).argmax())
-            max_j = int(lead_col[row])
+        ess = self.ess
+        slot = np.minimum(np.searchsorted(requests, row_code),
+                          len(requests) - 1)
+        hit = np.flatnonzero(requests[slot] == row_code)
+        hit = hit[np.argsort(slot[hit], kind="stable")]
+        slot = slot[hit]
+        starts = run_starts(slot)
+        flats = contour.points[rows[hit]]
+        costs = np.empty((len(pool), len(flats)), dtype=float)
+        if ess.grid.num_points <= ess.POINTWISE_EVAL_MIN_GRID:
+            for k, pid in enumerate(pool.tolist()):
+                costs[k] = self._cost_surface(pid)[flats]
         else:
-            max_j = int(np.where(in_part, lead_col, -1).max())
-            # First part member at the extreme coordinate that spills on
-            # the leader; a masked argmax over the leader-spillers gives
-            # the first such row, valid only if it reaches max_j.
-            cand = int(np.where(
-                in_part & (point_spill == leader), lead_col, -1
-            ).argmax())
-            native = (point_spill[cand] == leader and in_part[cand]
-                      and int(lead_col[cand]) == max_j)
-            row = cand if native else -1
-        if row >= 0:
-            # PSA holds natively: the extreme location's plan already
-            # spills on the leader.
-            pid = int(plan_ids[row])
-            location = tuple(int(c) for c in coords[row])
-            curve = self.ess.spill_cost_curve(pid, leader, location)
-            return PartStep(
-                dims=part,
-                leader=leader,
-                plan_id=pid,
-                location=location,
-                budget=budget,
-                learn_idx=learnable_index(curve, budget, max_j),
-                curve=curve,
-                penalty=1.0,
-                native=True,
-            )
-        # Induce PSA: cheapest (plan in P_leader, location in S) pair,
-        # where S is every contour location with the extreme leader
-        # coordinate (Section 5.2.1).
-        pool = self._spiller_pool(leader, remaining_key, contour_index)
-        if not pool:
-            return None
-        s_rows = np.flatnonzero(coords[:, leader] == max_j)
-        if len(s_rows) == 0:
-            return None
-        s_flat = coords[s_rows].astype(np.int64) @ np.asarray(
-            self.ess.grid.strides, dtype=np.int64
+            for k, pid in enumerate(pool.tolist()):
+                costs[k] = ess.plan_cost_at_points(pid, flats)
+        cheapest = np.minimum.reduceat(costs, starts, axis=1)
+        plan = cheapest.argmin(axis=0)
+        cost = cheapest[plan, np.arange(len(requests))]
+        attained = np.flatnonzero(
+            costs[plan[slot], np.arange(len(slot))] == cost[slot]
         )
-        costs = np.empty((len(pool), s_flat.size), dtype=float)
-        if self.ess.grid.num_points <= self.ess.POINTWISE_EVAL_MIN_GRID:
-            for k, pid in enumerate(pool):
-                costs[k] = self._cost_surface(pid)[s_flat]
-        else:
-            for k, pid in enumerate(pool):
-                costs[k] = self.ess.plan_cost_at_points(pid, s_flat)
-        # Flat argmin scans row-major: first pool plan, then first
-        # location, achieving the minimum — the scalar search's
-        # tie-breaking order.
-        flat_min = int(np.argmin(costs))
-        best_cost = float(costs.flat[flat_min])
-        best_pid = pool[flat_min // s_flat.size]
-        best_row = int(s_rows[flat_min % s_flat.size])
-        exec_budget = max(budget, best_cost)
-        location = tuple(int(c) for c in coords[best_row])
-        curve = self.ess.spill_cost_curve(best_pid, leader, location)
-        return PartStep(
-            dims=part,
-            leader=leader,
-            plan_id=best_pid,
-            location=location,
-            budget=exec_budget,
-            learn_idx=learnable_index(curve, exec_budget, max_j),
-            curve=curve,
-            penalty=exec_budget / budget,
-            native=False,
-        )
-
-    # ------------------------------------------------------------------
-    # Partition-cover search (steps S0-S2 of Algorithm 2)
-    # ------------------------------------------------------------------
-
-    def _plan_partition(self, contour_index, learned):
-        """The minimum-penalty partition's steps for a state (cached)."""
-        learned_key = tuple(sorted(learned.items()))
-        key = (contour_index, learned_key)
-        cached = self._partition_cache.get(key)
-        if cached is not None:
-            return cached
-
-        coords, plan_ids = self._effective_contour(contour_index, learned)
-        steps = []
-        if len(coords):
-            remaining = [d for d in range(self.num_dims) if d not in learned]
-            remaining_key = tuple(remaining)
-            point_spill = self._point_spill(plan_ids, learned)
-            active = sorted(set(point_spill.tolist()) - {-1})
-            context = (coords, plan_ids, point_spill, remaining_key)
-            self._seed_singleton_parts(
-                contour_index, learned_key, active, coords, plan_ids,
-                point_spill,
-            )
-            best_steps = None
-            best_cost = np.inf
-            for partition in set_partitions(active):
-                parts = []
-                cost = 0.0
-                feasible = True
-                for part in partition:
-                    step = self._evaluate_part(
-                        contour_index, learned_key, tuple(sorted(part)), context
-                    )
-                    if step is None:
-                        feasible = False
-                        break
-                    parts.append(step)
-                    cost += step.penalty
-                if not feasible:
-                    continue
-                better = cost < best_cost - 1e-12 or (
-                    abs(cost - best_cost) <= 1e-12
-                    and best_steps is not None
-                    and len(parts) < len(best_steps)
-                )
-                if best_steps is None or better:
-                    best_cost = cost
-                    best_steps = sorted(parts, key=lambda s: s.leader)
-            # The all-singletons partition is always feasible (it is
-            # SpillBound's own choice), so best_steps is never None here.
-            if best_steps is None:
-                raise DiscoveryError(
-                    f"no feasible partition on contour {contour_index}"
-                )
-            steps = best_steps
-        self._partition_cache[key] = steps
-        return steps
-
-    def contour_steps(self, contour_index, learned):
-        """The chosen partition's steps (uniform step interface).
-
-        Prior-guided schedules reorder the partition (a fresh list, so
-        the cached partition is never mutated); inert schedules return
-        the cached list untouched.
-        """
-        return self.prior_schedule().order_steps(
-            self._plan_partition(contour_index, learned)
-        )
+        at = attained[run_starts(slot[attained])]
+        return cost, pool[plan], rows[hit[at]]
 
     # ------------------------------------------------------------------
     # Discovery (Algorithm 2)

@@ -118,9 +118,8 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
             f"unknown sweep engine {engine!r}; choose from {SWEEP_ENGINES}"
         )
     grid = algorithm.ess.grid
-    flat_list = (
-        list(range(grid.num_points)) if points is None else list(points)
-    )
+    # A full-grid sweep needs no materialized index list: range() will do.
+    flat_list = range(grid.num_points) if points is None else list(points)
     query_name = getattr(getattr(algorithm.ess, "query", None), "name", "")
     with obs_span("sweep.evaluate", engine=engine, points=len(flat_list),
                   query=query_name) as sweep_span:

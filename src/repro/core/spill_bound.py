@@ -31,7 +31,9 @@ location.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +136,43 @@ def learnable_index(curve, budget, floor_idx):
     return max(idx, int(floor_idx))
 
 
+def run_starts(values):
+    """First position of each run of equal values in ``values``."""
+    return np.flatnonzero(
+        np.concatenate(([True], values[1:] != values[:-1]))[:len(values)]
+    )
+
+
+class SiblingSlices(NamedTuple):
+    """The effective slices (Section 4.2) of sibling states that share
+    one learnt-dimension set, laid end to end (empty slices left out)."""
+
+    states: list  # each slice's number in the planner's keys
+    learnt: tuple  # the siblings' learnt dimensions
+    rows: np.ndarray  # contour rows, slice by slice, ascending within
+    starts: np.ndarray  # each slice's first position in ``rows``
+    coord: np.ndarray  # the rows' coordinates, every dimension
+    spill: np.ndarray  # per row, its plan's first unlearnt spill dim or -1
+
+    def extreme_spillers(self):
+        """Per slice and dimension, the position in ``rows`` of the first
+        row with the largest ``dim`` coordinate among the slice's rows
+        spilling on ``dim`` — ``candidates[argmax(...)]`` for every slice
+        at once — or ``-1`` where none does (learnt dimensions too)."""
+        num_rows = len(self.rows)
+        # One segmented max decides both: the coordinate leads the score
+        # and an earlier row breaks ties upward.
+        score = np.multiply(self.coord, num_rows + 1, dtype=np.int64)
+        score += np.arange(num_rows, 0, -1)[:, None]
+        best = np.maximum.reduceat(
+            np.where(
+                self.spill[:, None] == np.arange(score.shape[1]), score, -1
+            ),
+            self.starts, axis=0,
+        )
+        return np.where(best >= 0, num_rows - best % (num_rows + 1), -1)
+
+
 class SpillBound:
     """Per-query SpillBound executor/simulator.
 
@@ -153,7 +192,8 @@ class SpillBound:
         self._prior_schedule = None
         self._step_cache = {}
         self._line_cache = {}
-        self._effective_cache = {}
+        self._unlearnt_cache = {}
+        self._slice_indexes = {}
         self._cost_surfaces = {}
 
     def prior_schedule(self):
@@ -193,119 +233,190 @@ class SpillBound:
         return sb_mso_bound(num_epps, cost_ratio)
 
     # ------------------------------------------------------------------
-    # Contour step planning (cached per discovery state)
+    # Contour step planning: sibling states of one contour, together
     # ------------------------------------------------------------------
 
-    def _state_key(self, contour_index, learned):
-        return contour_index, tuple(sorted(learned.items()))
+    def contour_steps(self, contour_index, learned):
+        """The ordered budgeted executions crossing a contour in a state.
 
-    def _effective_contour(self, contour_index, learned):
-        """Contour locations matching the learnt coordinates exactly.
-
-        Returns ``(coords_matrix, plan_ids)`` of the effective search
-        space (paper Section 4.2), possibly empty.  Cached per state and
-        computed incrementally — a state's arrays are the parent state's
-        (one fewer learnt coordinate) masked by the newest constraint,
-        so repeated exhaustive sweeps never re-mask the full contour.
+        The uniform step interface of the scalar :meth:`run` walk, the
+        engine driver and (a level at a time, through :meth:`plan_level`)
+        the frontier-batched sweep (:mod:`repro.perf.batch`): each step
+        exposes ``exec_dim``, ``budget``, ``learn_idx``, ``curve`` and
+        ``penalty``, and an execution at ``qa`` completes iff ``qa``'s
+        ``exec_dim`` grid index is ``<= learn_idx`` (charging
+        ``curve[idx]``; the budget otherwise).  The level planner with
+        one key, for AlignedBound's partition-cover steps too.
         """
-        if not learned:
-            contour = self.contours.contour(contour_index)
-            return contour.coords, contour.plan_ids
-        items = tuple(sorted(learned.items()))
-        key = (contour_index, items)
-        cached = self._effective_cache.get(key)
-        if cached is None:
-            dim, idx = items[-1]
-            coords, plan_ids = self._effective_contour(
-                contour_index, dict(items[:-1])
+        key = tuple(sorted(learned.items()))
+        steps = self._step_cache.get((contour_index, key))
+        if steps is None:
+            steps = self.plan_level(contour_index, (key,))[0]
+        return steps
+
+    def plan_level(self, contour_index, learned_keys):
+        """:meth:`contour_steps` of sibling states of one contour.
+
+        ``learned_keys`` names each state by its learnt coordinates as a
+        sorted ``((dim, index), ...)`` tuple.  The states not planned
+        before are planned together (:meth:`_plan_states`) and cached in
+        their final order: prior-guided schedules permute a state's
+        steps (the same charged set), inert ones keep the planner's.
+        """
+        cache = self._step_cache
+        missing = [key for key in dict.fromkeys(learned_keys)
+                   if (contour_index, key) not in cache]
+        if missing:
+            order = self.prior_schedule().order_steps
+            planned = self._plan_states(contour_index, missing)
+            for key, steps in zip(missing, planned):
+                cache[contour_index, key] = order(steps)
+        return [cache[contour_index, key] for key in learned_keys]
+
+    def _plan_states(self, contour_index, learned_keys):
+        """SpillBound's crossing of sibling states (Section 3.2).
+
+        Per state and unlearnt epp ``j``, one :class:`SpillStep` at
+        ``q_max^j`` — the first location of the state's effective slice
+        with the largest ``j`` coordinate among those whose plan spills
+        on ``j`` — in ascending ``j``; an empty list where the slice is
+        empty or nothing spills.
+        """
+        plans = [[] for _ in learned_keys]
+        contour = self.contours.contour(contour_index)
+        budget = self.contours.budget(contour_index)
+        for slices in self._sibling_slices(contour, learned_keys):
+            first = slices.extreme_spillers()
+            slice_no, dims = np.nonzero(first >= 0)
+            at = slices.rows[first[slice_no, dims]]
+            dims, pids = dims.tolist(), contour.plan_ids[at].tolist()
+            qstars = contour.coords[at].tolist()
+            curves, reach = self._curves_and_reach(
+                dims, pids, qstars, [budget] * len(at),
+                [qstar[dim] for qstar, dim in zip(qstars, dims)],
             )
-            if len(coords):
-                mask = coords[:, dim] == idx
-                coords = coords[mask]
-                plan_ids = plan_ids[mask]
-            cached = (coords, plan_ids)
-            self._effective_cache[key] = cached
+            for number, dim, pid, qstar, learn_idx, curve in zip(
+                slice_no.tolist(), dims, pids, qstars, reach, curves
+            ):
+                plans[slices.states[number]].append(SpillStep(
+                    dim, pid, tuple(qstar), budget, learn_idx, curve
+                ))
+        return plans
+
+    def _sibling_slices(self, contour, learned_keys):
+        """The states' effective slices as :class:`SiblingSlices`, one
+        per learnt-dimension set with a non-empty slice: the contour
+        rows matching some sibling's learnt coordinates exactly."""
+        by_dims = {}
+        for number, key in enumerate(learned_keys):
+            dims, values = zip(*key) if key else ((), ())
+            numbers, learnt = by_dims.setdefault(dims, ([], []))
+            numbers.append(number)
+            learnt.append(values)
+        for dims, (numbers, learnt) in by_dims.items():
+            order, runs, radix = self._slice_index(contour, dims)
+            states, pieces = [], []
+            for number, values in zip(numbers, learnt):
+                run = runs.get(sum(map(operator.mul, values, radix)))
+                if run is not None:
+                    states.append(number)
+                    pieces.append(order[run[0]:run[1]])
+            if not pieces:
+                continue
+            rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            yield SiblingSlices(
+                states,
+                dims,
+                rows,
+                np.cumsum([0] + [len(piece) for piece in pieces[:-1]]),
+                contour.coords.take(rows, axis=0),
+                self._first_unlearnt(dims)[contour.plan_ids.take(rows)],
+            )
+
+    def _slice_index(self, contour, dims):
+        """The contour's rows grouped by their coordinates on ``dims``.
+
+        Returns ``(order, runs, radix)``: the row numbers sorted (stably,
+        so rows ascend within a group) by the mixed-radix code
+        ``coords[:, dims] @ radix``, and per code present its run
+        ``order[low:high]`` — every possible sibling's effective slice.
+        Cached at a few bytes a row: the scalar walk meets a dimension
+        set again with other coordinates, and then pays a dict lookup.
+        """
+        cached = self._slice_indexes.get((contour.index, dims))
+        if cached is None:
+            resolution = self.ess.grid.resolution
+            radix = [1] * len(dims)
+            for k in range(len(dims) - 1, 0, -1):
+                radix[k - 1] = radix[k] * resolution[dims[k]]
+            code = np.zeros(len(contour.coords), dtype=np.int64)
+            for dim, weight in zip(dims, radix):
+                code += contour.coords[:, dim] * weight
+            # numpy's stable sort is a radix sort on narrow integers.
+            space = radix[0] * resolution[dims[0]] if dims else 1
+            order = np.argsort(
+                code.astype(np.min_scalar_type(space)), kind="stable"
+            ) if dims else np.arange(len(code))
+            code = code[order]
+            bounds = np.append(run_starts(code), len(code)).tolist()
+            cached = self._slice_indexes[contour.index, dims] = (
+                order.astype(np.min_scalar_type(len(order))),
+                dict(zip(code[bounds[:-1]].tolist(),
+                         zip(bounds, bounds[1:]))),
+                radix,
+            )
         return cached
+
+    def _first_unlearnt(self, dims):
+        """Per POSP plan, the first dimension of its spill order outside
+        ``dims`` (``-1`` where the whole order is learnt) — the
+        vectorized :meth:`~repro.ess.ocs.ESS.spill_dimension`, cached
+        per dimension set until the POSP grows (lazy surfaces)."""
+        orders = self.ess.spill_order_matrix()
+        cached = self._unlearnt_cache.get(dims)
+        if cached is None or len(cached) != len(orders):
+            valid = orders >= 0
+            for dim in dims:
+                valid &= orders != dim
+            first = valid.argmax(axis=1)
+            plans = np.arange(len(orders))
+            cached = self._unlearnt_cache[dims] = np.where(
+                valid[plans, first], orders[plans, first], -1
+            )
+        return cached
+
+    def _curves_and_reach(self, dims, pids, locations, budgets, floors):
+        """Each planned execution's spill curve and learnable index,
+        given its spilled dimension, plan and location: one
+        :meth:`~repro.ess.ocs.ESS.spill_cost_curves` call, and one
+        threshold search per distinct (curve, budget) — sibling states
+        mostly share both."""
+        curves = self.ess.spill_cost_curves(pids, dims, locations)
+        searched = {}
+        reach = []
+        for curve, budget, floor in zip(curves, budgets, floors):
+            idx = searched.get((id(curve), budget))
+            if idx is None:
+                idx = searched[id(curve), budget] = learnable_index(
+                    curve, budget, 0
+                )
+            # Lemma 3.1's floor (see learnable_index) is per location.
+            reach.append(max(idx, floor))
+        return curves, reach
 
     def _cost_surface(self, plan_id):
         """A plan's full-grid cost surface as a plain float array.
 
         Thin ref cache over :meth:`~repro.ess.ocs.ESS.plan_cost_array`:
-        the replacement searches and the batched tail drain gather from
-        these surfaces thousands of times per sweep, and the ESS cache's
-        per-hit LRU bookkeeping dominated those lookups.
+        the replacement searches gather from these surfaces thousands
+        of times per sweep, and the ESS cache's per-hit LRU bookkeeping
+        dominated those lookups.
         """
         arr = self._cost_surfaces.get(plan_id)
         if arr is None:
             arr = np.asarray(self.ess.plan_cost_array(plan_id), dtype=float)
             self._cost_surfaces[plan_id] = arr
         return arr
-
-    def _point_spill(self, plan_ids, learned):
-        """First unlearned spill dimension per contour location.
-
-        Vectorized equivalent of calling
-        :meth:`~repro.ess.ocs.ESS.spill_dimension` per location
-        (``-1`` where the plan's whole spill order is already learnt).
-        """
-        orders = self.ess.spill_order_matrix()[plan_ids]
-        valid = orders >= 0
-        for dim in learned:
-            valid &= orders != dim
-        first = valid.argmax(axis=1)
-        rows = np.arange(len(orders))
-        return np.where(valid[rows, first], orders[rows, first], -1)
-
-    def _plan_steps(self, contour_index, learned):
-        """The ``{dim: SpillStep}`` map for a discovery state (cached)."""
-        key = self._state_key(contour_index, learned)
-        cached = self._step_cache.get(key)
-        if cached is not None:
-            return cached
-
-        coords, plan_ids = self._effective_contour(contour_index, learned)
-        steps = {}
-        if len(coords):
-            remaining = [d for d in range(self.num_dims) if d not in learned]
-            point_spill = self._point_spill(plan_ids, learned)
-            budget = self.contours.budget(contour_index)
-            for dim in remaining:
-                candidates = np.flatnonzero(point_spill == dim)
-                if len(candidates) == 0:
-                    continue  # no plan on this contour spills on dim: skip
-                best = candidates[int(np.argmax(coords[candidates, dim]))]
-                qstar = tuple(int(c) for c in coords[best])
-                pid = int(plan_ids[best])
-                curve = self.ess.spill_cost_curve(pid, dim, qstar)
-                steps[dim] = SpillStep(
-                    dim=dim,
-                    plan_id=pid,
-                    qstar_coords=qstar,
-                    budget=budget,
-                    learn_idx=learnable_index(curve, budget, qstar[dim]),
-                    curve=curve,
-                )
-        self._step_cache[key] = steps
-        return steps
-
-    def contour_steps(self, contour_index, learned):
-        """The ordered budgeted executions crossing a contour in a state.
-
-        The uniform step interface consumed by both the scalar
-        :meth:`run` walk and the frontier-batched sweep engine
-        (:mod:`repro.perf.batch`): each step exposes ``exec_dim``,
-        ``budget``, ``learn_idx``, ``curve`` and ``penalty``, and an
-        execution at actual location ``qa`` completes iff
-        ``qa``'s ``exec_dim`` grid index is ``<= learn_idx`` (charging
-        ``curve[idx]``; the budget otherwise).  AlignedBound overrides
-        this with its partition-cover steps.
-        """
-        steps = self._plan_steps(contour_index, learned)
-        ordered = [steps[key] for key in sorted(steps)]
-        # Prior-guided within-contour ordering (a permutation of the
-        # same charged set, so the MSO accounting is untouched); inert
-        # schedules return the list unchanged.
-        return self.prior_schedule().order_steps(ordered)
 
     # ------------------------------------------------------------------
     # The 1-D PlanBouquet tail

@@ -202,7 +202,7 @@ class CorrelatedWorld:
 class _CorrectedExecutor(SimulatedExecutor):
     """Simulated executions whose plan costs follow the corrected world
     (spill steps already carry corrected curves, from
-    :meth:`CorrelatedSpillBound._plan_steps`)."""
+    :meth:`CorrelatedSpillBound._plan_states`)."""
 
     __slots__ = ("world",)
 
@@ -236,26 +236,23 @@ class CorrelatedSpillBound(SpillBound):
     def __init__(self, ess, specs, contour_set=None, cost_ratio=2.0):
         super().__init__(ess, contour_set, cost_ratio)
         self.world = CorrelatedWorld(ess, specs)
-        self._corr_curve_cache = {}
 
-    def _plan_steps(self, contour_index, learned):
+    def _plan_states(self, contour_index, learned_keys):
         """SI plan choices with corrected learning thresholds."""
-        key = ("corr", contour_index, tuple(sorted(learned.items())))
-        cached = self._corr_curve_cache.get(key)
-        if cached is not None:
-            return cached
-        steps = dict(super()._plan_steps(contour_index, learned))
-        for dim, step in list(steps.items()):
-            curve = self._corrected_curve(step, dim)
-            # No Lemma 3.1 floor clamp: under SI violation the budget
-            # need not cover the corrected spill cost at q*, and the
-            # possibility of under-learning is part of the phenomenon.
-            steps[dim] = replace(
-                step, curve=curve,
-                learn_idx=learnable_index(curve, step.budget, 0),
-            )
-        self._corr_curve_cache[key] = steps
-        return steps
+        return [
+            [self._corrected(step) for step in steps]
+            for steps in super()._plan_states(contour_index, learned_keys)
+        ]
+
+    def _corrected(self, step):
+        curve = self._corrected_curve(step, step.dim)
+        # No Lemma 3.1 floor clamp: under SI violation the budget need
+        # not cover the corrected spill cost at q*, and the possibility
+        # of under-learning is part of the phenomenon.
+        return replace(
+            step, curve=curve,
+            learn_idx=learnable_index(curve, step.budget, 0),
+        )
 
     def _corrected_curve(self, step, dim):
         grid = self.ess.grid

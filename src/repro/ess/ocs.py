@@ -11,6 +11,8 @@ algorithm consumes.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.ess.grid import ESSGrid
@@ -54,7 +56,7 @@ class ESS:
         self._spill_orders = {}
         self._spill_order_matrix = None
         self._subtree_costs = {}
-        self._subtree_dim_cache = {}
+        self._subtree_weight_cache = {}
 
     @classmethod
     def build(cls, query, grid=None, cost_model=DEFAULT_COST_MODEL,
@@ -270,60 +272,76 @@ class ESS:
         return self._spill_order_matrix
 
     def spill_cost_curve(self, plan_id, dim, fixed_coords):
-        """Spill-subtree cost of a plan as a function of one epp.
+        """Spill-subtree cost of a plan as a function of one epp: the
+        ``(resolution[dim],)`` cost of executing only the subtree rooted
+        at the ``dim`` epp's node as its selectivity sweeps the grid,
+        every other dimension pinned at ``fixed_coords`` (a full coords
+        tuple; the ``dim`` entry is ignored).  One row of
+        :meth:`spill_cost_curves`."""
+        return self.spill_cost_curves([plan_id], [dim], [fixed_coords])[0]
 
-        Returns the ``(resolution[dim],)`` array of the cost of executing
-        only the subtree rooted at the ``dim`` epp's node, as the epp's
-        selectivity sweeps its grid values with every *other* dimension
-        pinned at ``fixed_coords`` (a full coords tuple; the entry for
-        ``dim`` itself is ignored).  Cached on (plan, dim, relevant
-        coords): only coordinates of epps inside the spilled subtree can
-        influence the curve, so the cache key keeps just those.
+    def spill_cost_curves(self, plan_ids, dims, coords):
+        """:meth:`spill_cost_curve` of several spill executions at once:
+        plan ``plan_ids[i]`` spilling on ``dims[i]`` at the full coords
+        row ``coords[i]``.  Returns the list of curves.
+
+        Cached on (plan, dim, relevant coords): only coordinates of epps
+        inside the spilled subtree can influence a curve.  The missing
+        curves are evaluated in one broadcast cost-model call per (plan,
+        dim) — the pinned selectivities as ``(k, 1)`` columns against
+        the swept dimension's grid values — which performs, per element,
+        the float operations of a one-location evaluation.
         """
-        plan = self.plans[plan_id]
-        query = self.query
-        epp_name = query.epps[dim].name
-        relevant = tuple(
-            (d, int(fixed_coords[d]))
-            for d in self._subtree_dims(plan_id, dim)
-            if d != dim
-        )
-        cache_key = (plan_id, dim, relevant)
-        cached = self._subtree_costs.get(cache_key)
+        grid = self.grid
+        cache = self._subtree_costs
+        keys, missing = [], {}
+        for plan_id, dim, row in zip(plan_ids, dims, coords):
+            # The weights are the flat-index strides of the relevant
+            # dimensions, 0 elsewhere: one number per combination.
+            key = (plan_id, dim, sum(map(
+                operator.mul, row, self._subtree_weights(plan_id, dim)
+            )))
+            keys.append(key)
+            if key not in cache:
+                missing.setdefault(key[:2], {})[key] = row
+        for (plan_id, dim), rows in missing.items():
+            at = np.asarray(list(rows.values()))
+            env = {d: grid.values[d][at[:, d]][:, None]
+                   for d in range(grid.num_dims)}
+            env[dim] = grid.values[dim]
+            cache.update(zip(rows, np.broadcast_to(
+                np.asarray(
+                    spill_subtree_cost(
+                        self.plans[plan_id], self.query, self.cost_model,
+                        env, self.query.epps[dim].name,
+                    ),
+                    dtype=float,
+                ),
+                (len(at), grid.resolution[dim]),
+            )))
+        return [cache[key] for key in keys]
+
+    def _subtree_weights(self, plan_id, dim):
+        """Flat-index strides of the dimensions the ``(plan, dim)`` spill
+        curve depends on besides ``dim`` — the epps inside the spilled
+        subtree — and 0 for the others (cached: the plan-tree walk
+        dominated the curve lookup)."""
+        cached = self._subtree_weight_cache.get((plan_id, dim))
         if cached is None:
-            env = {
-                d: self.grid.selectivity(d, fixed_coords[d])
-                for d in range(self.grid.num_dims)
-            }
-            env[dim] = self.grid.values[dim]
-            cached = np.asarray(
-                spill_subtree_cost(plan, query, self.cost_model, env, epp_name),
-                dtype=float,
-            )
-            cached = np.broadcast_to(cached, (self.grid.resolution[dim],))
-            self._subtree_costs[cache_key] = cached
+            from repro.optimizer.plans import find_epp_node  # avoid cycle
+
+            query = self.query
+            node = find_epp_node(self.plans[plan_id], query.epps[dim].name)
+            inside = {
+                query.epp_dimension(pred.name)
+                for sub in node.iter_nodes()
+                for pred in sub.applied_preds if pred.error_prone
+            } - {dim}
+            cached = self._subtree_weight_cache[plan_id, dim] = [
+                stride if d in inside else 0
+                for d, stride in enumerate(self.grid.strides)
+            ]
         return cached
-
-    def _subtree_dims(self, plan_id, dim):
-        """ESS dimensions of the epps inside the spilled subtree (cached:
-        :meth:`spill_cost_curve` rebuilds its cache key from this on
-        every call, and the plan-tree walk dominated that lookup)."""
-        cached = self._subtree_dim_cache.get((plan_id, dim))
-        if cached is not None:
-            return cached
-        from repro.optimizer.plans import find_epp_node  # local to avoid cycle
-
-        plan = self.plans[plan_id]
-        epp_name = self.query.epps[dim].name
-        node = find_epp_node(plan, epp_name)
-        dims = set()
-        for sub in node.iter_nodes():
-            for pred in sub.applied_preds:
-                if pred.error_prone:
-                    dims.add(self.query.epp_dimension(pred.name))
-        dims = tuple(sorted(dims))
-        self._subtree_dim_cache[(plan_id, dim)] = dims
-        return dims
 
     def suboptimality_surface(self, plan_id):
         """``Cost(P, q) / Cost(P_q, q)`` over the grid for a fixed plan."""

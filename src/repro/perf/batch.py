@@ -9,7 +9,7 @@ coordinates)`` pairs — exactly the states SpillBound already memoizes
 plan steps for.  Instead of running N independent walks, this engine
 propagates *sets* of grid locations through that state machine:
 
-* each distinct discovery state is visited **once**, carrying the set
+* each distinct discovery state is walked **once**, carrying the set
   of locations currently in it (the frontier);
 * a budgeted execution's outcome partitions the set with one vectorized
   comparison — locations whose grid index along the step's dimension is
@@ -25,18 +25,21 @@ propagates *sets* of grid locations through that state machine:
   shared :func:`~repro.core.spill_bound.band_trials`, plan-cost gathers
   grouped per plan, and one completion ``argmax`` per location.
 
-States are processed in lexicographic ``(contour, |learned|)`` order —
-every transition strictly increases that key, so a state's location set
-is complete when it is popped, and each location's charges accumulate
-in exactly the order the scalar ``run(qa)`` walk would apply them
-(the tail is each location's final, separately-subtotalled charge in
-both walks, so draining it last preserves that order).  Contours whose
-effective slice plans no steps are crossed without charges, exactly as
-the scalar walk does — the engine fast-forwards through them without
-touching the heap.  Charges, budgets, learn thresholds and spill
-curves all come from the same ``contour_steps`` / ``band_trials``
-caches the scalar walk uses, so the resulting sub-optimality array is
-**bit-identical** to the per-location loop (pinned by
+States are processed a ``(contour, |learned|)`` *level* at a time, in
+lexicographic order — every transition strictly increases that key, so
+a level's states and their location sets are complete when it is
+popped, and each location's charges accumulate in exactly the order the
+scalar ``run(qa)`` walk would apply them (the tail is each location's
+final, separately-subtotalled charge in both walks, so draining it last
+preserves that order).  The level's states go to the algorithm's
+planner together (``plan_level``: sibling slices grouped with one sort,
+segment reductions, batched spill curves) — the planner the scalar walk
+calls with one key, so charges, budgets, learn thresholds and spill
+curves are the very values ``contour_steps`` returns.  A state whose
+effective slice plans no steps crosses its contour without charges,
+exactly as the scalar walk does: its locations are re-queued, at the
+same key, onto the next contour's level.  The resulting sub-optimality
+array is **bit-identical** to the per-location loop (pinned by
 ``tests/test_perf_batch.py``).
 
 Coverage is gated on the exact algorithm type: :class:`PlanBouquet`
@@ -48,7 +51,7 @@ step orders, SI-violating worlds) keep the per-location reference loop.
 from __future__ import annotations
 
 import heapq
-import itertools
+import time
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from repro.conformance.monitors import observe_sweep
 from repro.core.discovery import budget_covers
 from repro.errors import DiscoveryError
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import current_span
 from repro.obs.trace import span as obs_span
 
 
@@ -205,107 +209,146 @@ def _sweep_frontier(algorithm, flats):
     """Total charged cost per location for the spill-mode algorithms."""
     ess = algorithm.ess
     grid = ess.grid
-    contours = algorithm.contours
-    num_contours = contours.num_contours
+    num_contours = algorithm.contours.num_contours
     num_dims = grid.num_dims
     total = np.zeros(grid.num_points, dtype=float)
     coord = [grid.coord_array(d) for d in range(num_dims)]
-    contour_steps = algorithm.contour_steps
 
-    # state key -> list of location arrays awaiting the state's visit.
+    # (contour, |learned|) level -> {learned key: location arrays
+    # awaiting the state's visit}; the heap holds each level once.
     frontier = {}
     heap = []
-    tick = itertools.count()
     tails = []  # deferred 1-D states: (free_dim, start_contour, group)
+    # States a re-queued empty crossing opened and no transition has
+    # reached yet (see the batched_sweep_states count below).
+    crossed = set()
+    num_states = 0
 
-    def push(contour_index, learned_key, group):
-        state = (contour_index, learned_key)
-        bucket = frontier.get(state)
+    def push(contour_index, learned_key, groups, crossing=False):
+        nonlocal num_states
+        level = (contour_index, len(learned_key))
+        states = frontier.get(level)
+        if states is None:
+            states = frontier[level] = {}
+            heapq.heappush(heap, level)
+        bucket = states.get(learned_key)
         if bucket is None:
-            frontier[state] = [group]
-            heapq.heappush(
-                heap, (contour_index, len(learned_key), next(tick), state)
-            )
-        else:
-            bucket.append(group)
+            states[learned_key] = list(groups)
+            if crossing:
+                crossed.add((contour_index, learned_key))
+            else:
+                num_states += 1
+            return
+        bucket.extend(groups)
+        if crossed and not crossing and (contour_index, learned_key) in crossed:
+            crossed.discard((contour_index, learned_key))
+            num_states += 1
 
     # Prior-guided starts partition the initial frontier by starting
     # contour; inert priors keep the original single push at contour 1.
     starts = _start_array(algorithm, flats)
     if starts is None:
-        push(1, (), flats)
+        push(1, (), [flats])
     else:
         for start in np.unique(starts):
-            push(int(start), (), flats[starts == start])
+            push(int(start), (), [flats[starts == start]])
     max_penalty = 1.0
-    num_states = 0
+    num_levels = 0
+    plan_s = walk_s = 0.0
     while heap:
-        _, _, _, state = heapq.heappop(heap)
-        contour_index, learned_key = state
-        groups = frontier.pop(state)
-        group = groups[0] if len(groups) == 1 else np.concatenate(groups)
-        num_states += 1
-        learned = dict(learned_key)
-        remaining = num_dims - len(learned)
+        level = heapq.heappop(heap)
+        contour_index, num_learned = level
+        states = frontier.pop(level)
+        remaining = num_dims - num_learned
         if remaining == 0:
             raise DiscoveryError("all epps learnt before the 1-D phase")
         if remaining == 1:
-            tails.append((
-                next(d for d in range(num_dims) if d not in learned),
-                contour_index,
-                group,
-            ))
+            for learned_key, groups in states.items():
+                learned = dict(learned_key)
+                tails.append((
+                    next(d for d in range(num_dims) if d not in learned),
+                    contour_index,
+                    _merged(groups),
+                ))
             continue
-        # Fast-forward contours whose effective slice plans no steps:
-        # the scalar walk crosses those without charges too.
-        while True:
-            if contour_index > num_contours:
-                # The scalar walk invokes the ladder-exhausted hook
-                # here; for the stock algorithms that raises (Lemma 3.2
-                # / the slice-terminus argument under SI).
-                raise DiscoveryError(
-                    f"sweep ascended past the last contour (state {state})"
-                )
-            steps = contour_steps(contour_index, learned)
-            if steps:
-                break
-            contour_index += 1
+        keys = list(states)
+        if contour_index > num_contours:
+            # The scalar walk invokes the ladder-exhausted hook here;
+            # for the stock algorithms that raises (Lemma 3.2 / the
+            # slice-terminus argument under SI).
+            raise DiscoveryError(
+                "sweep ascended past the last contour "
+                f"(state {(contour_index, keys[0])})"
+            )
+        # Every state of the level is in the frontier by now (each
+        # transition strictly increases the level), so the planner gets
+        # the level whole.
+        begin = time.perf_counter()
+        plans = algorithm.plan_level(contour_index, keys)
+        planned = time.perf_counter()
+        plan_s += planned - begin
+        num_levels += 1
+        for learned_key, steps in zip(keys, plans):
+            if not steps:
+                # The effective slice plans no steps: the scalar walk
+                # crosses this contour without charges too.  Re-queued
+                # onto the next contour's level, at the same key.
+                push(contour_index + 1, learned_key, states[learned_key],
+                     crossing=True)
+                continue
+            active = _merged(states[learned_key])
+            for step in steps:
+                if active.size == 0:
+                    break
+                if step.penalty > max_penalty:
+                    max_penalty = step.penalty
+                idx = coord[step.exec_dim][active]
+                done = idx <= step.learn_idx
+                completed = active[done]
+                if completed.size:
+                    done_idx = idx[done]
+                    total[completed] += step.curve[done_idx]
+                    # Completions split by the coordinate they learnt.
+                    for value in np.unique(done_idx):
+                        next_key = tuple(sorted(
+                            learned_key + ((int(step.exec_dim), int(value)),)
+                        ))
+                        push(contour_index, next_key,
+                             [completed[done_idx == value]])
+                active = active[~done]
+                total[active] += step.budget
+            if active.size:
+                # Nothing learnt: qa lies beyond this contour (Lemma 4.3).
+                push(contour_index + 1, learned_key, [active])
+        walk_s += time.perf_counter() - planned
 
-        active = group
-        for step in steps:
-            if active.size == 0:
-                break
-            if step.penalty > max_penalty:
-                max_penalty = step.penalty
-            idx = coord[step.exec_dim][active]
-            done = idx <= step.learn_idx
-            completed = active[done]
-            if completed.size:
-                done_idx = idx[done]
-                total[completed] += np.asarray(
-                    step.curve, dtype=float
-                )[done_idx]
-                # Completions split by the coordinate they learnt.
-                for value in np.unique(done_idx):
-                    next_key = tuple(sorted(
-                        learned_key + ((int(step.exec_dim), int(value)),)
-                    ))
-                    push(contour_index, next_key,
-                         completed[done_idx == value])
-            active = active[~done]
-            total[active] += step.budget
-        if active.size:
-            # Nothing learnt: qa lies beyond this contour (Lemma 4.3).
-            push(contour_index + 1, learned_key, active)
-
+    begin = time.perf_counter()
     _drain_tails(algorithm, tails, total)
     if hasattr(algorithm, "observed_max_penalty"):
         # Mirror the scalar walk's side effect (Table 4 reads it).
         algorithm.observed_max_penalty = max(
             algorithm.observed_max_penalty, max_penalty
         )
+    # Frontier states some transition reached — each is walked (or
+    # deferred to the tail drain) exactly once.  The re-queued empty
+    # crossings are not counted, as the per-state fast-forward they
+    # replace never was: the figure is the same before and after the
+    # level planner, which is the proof that the walk did not change.
     REGISTRY.incr("batched_sweep_states", num_states)
+    span = current_span()
+    if span is not None:
+        for name, value in (
+            ("levels", num_levels), ("states", num_states),
+            ("plan_s", plan_s), ("walk_s", walk_s),
+            ("tail_s", time.perf_counter() - begin),
+        ):
+            span.set_attr(name, value)
     return total
+
+
+def _merged(groups):
+    """One location array from the groups that reached a state."""
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
 def _drain_tails(algorithm, tails, total):

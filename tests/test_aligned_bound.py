@@ -1,6 +1,9 @@
 """Unit tests for AlignedBound: partitions, PSA, penalties, guarantees."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AlignedBound,
@@ -8,7 +11,15 @@ from repro import (
     contour_alignment_stats,
     evaluate_algorithm,
 )
+from repro.arena.adversarial import build_adversarial_instance
 from repro.core.aligned_bound import set_partitions
+from tests.reference_planner import level_surface  # noqa: F401 (fixture)
+from tests.reference_planner import (
+    reference_ab_steps,
+    reference_curve,
+    same_steps,
+    surface_levels,
+)
 
 
 class TestSetPartitions:
@@ -122,7 +133,7 @@ class TestAlignmentStats:
 
 class TestPartitionChoice:
     def test_partition_covers_active_dims(self, toy_ab):
-        steps = toy_ab._plan_partition(3, {})
+        steps = toy_ab.contour_steps(3, {})
         dims_covered = set()
         for step in steps:
             dims_covered.update(step.dims)
@@ -131,12 +142,161 @@ class TestPartitionChoice:
         assert total == len(dims_covered)
 
     def test_leaders_belong_to_their_parts(self, toy_ab):
-        steps = toy_ab._plan_partition(4, {})
+        steps = toy_ab.contour_steps(4, {})
         for step in steps:
             assert step.leader in step.dims
 
     def test_native_steps_have_unit_penalty(self, toy_ab):
-        steps = toy_ab._plan_partition(4, {})
+        steps = toy_ab.contour_steps(4, {})
         for step in steps:
             if step.native:
                 assert step.penalty == pytest.approx(1.0)
+
+
+def _assert_level_plans(instance):
+    """Whole level == each key alone == the part-by-part oracle."""
+    planner = AlignedBound(instance.ess, instance.contours)
+    for contour_index, keys in surface_levels(AlignedBound, instance):
+        whole = planner._plan_states(contour_index, keys)
+        for key, steps in zip(keys, whole):
+            alone, = planner._plan_states(contour_index, [key])
+            assert same_steps(steps, alone), (contour_index, key)
+            assert same_steps(steps, reference_ab_steps(
+                planner, contour_index, dict(key)
+            )), (contour_index, key)
+
+
+class TestLevelPlanIdentity:
+    """The level planner gives every state the partition it gets alone.
+
+    As ``tests/test_spill_bound.py::TestLevelPlanIdentity``: every state
+    of an exhaustive sweep on the 2D-6D smoke surfaces (eager, plus one
+    lazy), planned with its whole level, a drawn subset and alone, and
+    against the part-by-part oracle of ``tests/reference_planner.py``.
+    """
+
+    def test_whole_level_each_key_alone_and_oracle_agree(self, level_surface):
+        """Catches a native check read off the wrong cell of the
+        per-slice "largest leader coordinate among the rows spilling on
+        s" table, a replacement search that takes the last instead of
+        the first cheapest (plan, location) pair, and steps handed to
+        the wrong sibling."""
+        _assert_level_plans(level_surface)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    def test_tie_breaks_on_flat_cost_surfaces(self, seed):
+        """On the Theorem 4.6 surface every plan costs the same
+        everywhere, so every replacement has penalty exactly 1 and
+        leaders and equal-sized partitions tie everywhere.  Catches
+        ``<=`` for ``<`` in the partition tie-break (an equal-sized
+        later partition would replace the first enumerated) and a later
+        leader winning a penalty tie."""
+        _assert_level_plans(build_adversarial_instance(seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_of_a_level_plans_the_same(self, level_surface, data):
+        """Catches state that leaks between siblings or between the
+        active-set groups of one call: a subset of the level, in any
+        order, must plan each member as the whole level does."""
+        planner = AlignedBound(level_surface.ess, level_surface.contours)
+        contour_index, keys = data.draw(
+            st.sampled_from(surface_levels(AlignedBound, level_surface)))
+        subset = data.draw(
+            st.lists(st.sampled_from(keys), unique=True, min_size=1))
+        whole = dict(zip(keys, planner._plan_states(contour_index, keys)))
+        for key, steps in zip(subset,
+                              planner._plan_states(contour_index, subset)):
+            assert same_steps(steps, whole[key]), (contour_index, key)
+
+    def test_batched_curve_rows_equal_one_location_curves(self, level_surface):
+        """Catches a broadcast cost-model call that rounds differently
+        from the one-location call, on the replacement plans' curves too
+        (the curve cache is emptied first so levels evaluate batched)."""
+        ess = level_surface.ess
+        planner = AlignedBound(ess, level_surface.contours)
+        ess._subtree_costs.clear()
+        for contour_index, keys in surface_levels(AlignedBound,
+                                                  level_surface):
+            for steps in planner._plan_states(contour_index, keys):
+                for step in steps:
+                    assert np.array_equal(
+                        step.curve, reference_curve(ess, step))
+
+    @pytest.mark.parametrize("draw", range(6))
+    def test_partition_scan_is_the_scalar_scan(self, draw):
+        """``_choose_partitions`` against the scalar scan it replaces,
+        on totals drawn from a few values jittered inside and outside
+        the 1e-12 tolerance.  Catches dropping the ``len(parts)`` tie
+        rule and ``<=`` for ``<`` in it."""
+        from repro.core.aligned_bound import _choose_partitions
+
+        rng = np.random.default_rng(draw)
+        sizes = rng.integers(1, 5, size=40)
+        total = rng.choice([2.0, 3.0, 3.5, np.inf], size=(60, 40)) + (
+            rng.choice([0.0, 4e-13, -4e-13, 3e-12], size=(60, 40)))
+        total[0] = np.inf  # a slice with no feasible partition
+        expected = []
+        for row in total:
+            best, least, fewest = -1, np.inf, None
+            for partition, cost in enumerate(row.tolist()):
+                if cost == np.inf:
+                    continue
+                if best < 0 or cost < least - 1e-12 or (
+                        abs(cost - least) <= 1e-12
+                        and sizes[partition] < fewest):
+                    best, least, fewest = partition, cost, sizes[partition]
+            expected.append(best)
+        assert _choose_partitions(total, sizes).tolist() == expected
+        assert expected[0] == -1 and len(set(expected)) > 3
+
+    def test_fewer_parts_win_a_penalty_tie(self):
+        """Catches dropping the ``len(parts)`` tie rule (partition 1
+        would stay) and ``<=`` in it (partition 3 would win)."""
+        from repro.core.aligned_bound import _choose_partitions
+
+        total = np.asarray([[5.0, 3.0, 3.0, 3.0]])
+        sizes = np.asarray([1, 3, 2, 2])
+        assert _choose_partitions(total, sizes).tolist() == [2]
+
+    def test_replacement_search_takes_the_first_cheapest_pair(self):
+        """``_induce`` against a row-major ``argmin`` per request, on
+        integer-valued cost surfaces full of ties.  Catches the last
+        instead of the first cheapest pool plan or location."""
+        instance = build_adversarial_instance(1, num_dims=3, resolution=5)
+        planner = AlignedBound(instance.ess, instance.contours)
+        contour = instance.contours.contour(1)
+        rng = np.random.default_rng(7)
+        pool = np.asarray([2, 0, 1])
+        for pid in pool.tolist():
+            planner._cost_surfaces[pid] = rng.integers(
+                1, 4, size=instance.ess.grid.num_points).astype(float)
+        rows = rng.permutation(len(contour.points))[:90]
+        row_code = rng.integers(0, 12, size=len(rows))
+        requests = np.unique(row_code)[::2]
+        cost, pid, row = planner._induce(
+            contour, pool, rows, row_code, requests)
+        for k, request in enumerate(requests.tolist()):
+            members = rows[row_code == request]
+            costs = np.asarray([
+                planner._cost_surfaces[p][contour.points[members]]
+                for p in pool.tolist()
+            ])
+            first = int(np.argmin(costs))
+            assert cost[k] == costs.flat[first]
+            assert pid[k] == pool[first // len(members)]
+            assert row[k] == members[first % len(members)]
+
+    def test_partition_table_is_the_enumeration(self):
+        """The bitmask table the planner scans lists ``set_partitions``
+        in enumeration order, parts in summation order."""
+        from repro.core.aligned_bound import _partition_table
+
+        for num in range(1, 6):
+            table, sizes = _partition_table(num)
+            listed = [
+                [sum(1 << item for item in part) for part in partition]
+                for partition in set_partitions(range(num))
+            ]
+            assert [row[row > 0].tolist() for row in table] == listed
+            assert sizes.tolist() == [len(masks) for masks in listed]

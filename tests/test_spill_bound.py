@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SpillBound, evaluate_algorithm
 from repro.core.spill_bound import learnable_index
+from tests.reference_planner import level_surface  # noqa: F401 (fixture)
+from tests.reference_planner import (
+    reference_curve,
+    reference_sb_steps,
+    same_steps,
+    surface_levels,
+)
 
 
 class TestGuarantee:
@@ -167,3 +176,64 @@ class TestStateCaching:
         sb = SpillBound(toy_ess, toy_contours)
         sb.run(200)
         assert len(sb._step_cache) > 0
+
+
+class TestLevelPlanIdentity:
+    """The level planner gives every state the steps it gets alone.
+
+    Every state an exhaustive sweep reaches on the 2D-6D smoke surfaces
+    (eager, plus one lazy) is planned three ways — with its whole
+    ``(contour, |learned|)`` level, with a drawn subset of the level, on
+    its own — and against the row-by-row oracle of
+    ``tests/reference_planner.py``.
+    """
+
+    def test_whole_level_each_key_alone_and_oracle_agree(self, level_surface):
+        """Catches the *last* instead of the first extreme-coordinate row
+        (an ascending instead of a descending rank in
+        ``extreme_spillers``: the oracle keeps the first row of a
+        coordinate tie) and a slice handed to the wrong sibling (whole
+        level vs each key alone)."""
+        planner = SpillBound(level_surface.ess, level_surface.contours)
+        for contour_index, keys in surface_levels(SpillBound, level_surface):
+            whole = planner._plan_states(contour_index, keys)
+            for key, steps in zip(keys, whole):
+                alone, = planner._plan_states(contour_index, [key])
+                assert same_steps(steps, alone), (contour_index, key)
+                assert same_steps(steps, reference_sb_steps(
+                    planner, contour_index, dict(key)
+                )), (contour_index, key)
+                assert [step.dim for step in steps] == sorted(
+                    step.dim for step in steps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_of_a_level_plans_the_same(self, level_surface, data):
+        """Catches state that leaks between siblings: a subset of the
+        level, in any order, must plan each member as the whole level
+        does (a sibling table indexed by level position instead of by
+        position in the call would pass the two fixed shapes above)."""
+        planner = SpillBound(level_surface.ess, level_surface.contours)
+        contour_index, keys = data.draw(
+            st.sampled_from(surface_levels(SpillBound, level_surface)))
+        subset = data.draw(
+            st.lists(st.sampled_from(keys), unique=True, min_size=1))
+        whole = dict(zip(keys, planner._plan_states(contour_index, keys)))
+        for key, steps in zip(subset,
+                              planner._plan_states(contour_index, subset)):
+            assert same_steps(steps, whole[key]), (contour_index, key)
+
+    def test_batched_curve_rows_equal_one_location_curves(self, level_surface):
+        """Catches a broadcast cost-model call that rounds differently
+        from the one-location call (bit for bit, not ``allclose``): the
+        curve cache is emptied first so whole levels evaluate batched."""
+        ess = level_surface.ess
+        planner = SpillBound(ess, level_surface.contours)
+        ess._subtree_costs.clear()
+        for contour_index, keys in surface_levels(SpillBound, level_surface):
+            for steps in planner._plan_states(contour_index, keys):
+                for step in steps:
+                    assert np.array_equal(
+                        step.curve, reference_curve(ess, step))
+                    assert np.array_equal(step.curve, ess.spill_cost_curve(
+                        step.plan_id, step.dim, step.qstar_coords))
