@@ -14,7 +14,7 @@ and runs everything head-to-head:
 * :mod:`repro.arena.adversarial` — the constructive Theorem 4.6
   workload family forcing MSO >= D on half-space-pruning algorithms;
 * :mod:`repro.arena.report` — the head-to-head MSO/ASO sweep
-  (``repro arena``, BENCH schema v8 ``arena`` section).
+  (``repro arena``).
 """
 
 from repro.arena.adversarial import (

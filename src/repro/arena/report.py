@@ -138,7 +138,7 @@ class ArenaReport:
         ]
 
     def to_payload(self):
-        """The BENCH schema ``arena`` section."""
+        """The arena as plain JSON data (``repro arena --json``)."""
         return {
             "family": self.family,
             "num_workloads": self.num_workloads,

@@ -66,7 +66,7 @@ def algorithm_profiles(name, with_eval=("pb", "sb", "ab"), profile=None):
         _PROFILE_CACHE[key] = prof
     # The exhaustive sweeps parallelize across processes when
     # REPRO_WORKERS > 1 (see repro.perf.parallel); each one reports its
-    # wall time into the perf-trajectory timers either way.
+    # wall time as a registry phase either way.
     if "pb" in with_eval and prof.pb_eval is None:
         with REGISTRY.phase("sweep_pb"):
             prof.pb_eval = evaluate_algorithm(prof.pb)
@@ -302,7 +302,7 @@ def run_fig7(name="2D_Q91", qa=(0.04, 0.1), profile=None):
 # ----------------------------------------------------------------------
 
 def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="auto",
-                  resolution=None, setup=None):
+                  resolution=None):
     """Native vs SpillBound vs AlignedBound on real engine executions.
 
     The paper runs 4D Q91 on 100 GB; we run a down-scaled generated
@@ -313,16 +313,11 @@ def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="auto",
         engine: execution engine selector (``auto`` / ``vector`` /
             ``volcano``) threaded into every engine run.
         resolution: optional ESS grid resolution override.
-        setup: a pre-built :func:`~repro.bench.wallclock
-            .build_wallclock_setup` result to reuse (the benchmark
-            harness shares one setup across engine timings).
     """
     from repro.bench.wallclock import build_wallclock_setup
 
-    if setup is None:
-        kwargs = {} if resolution is None else {"resolution": resolution}
-        setup = build_wallclock_setup(row_budget=row_budget, seed=seed,
-                                      **kwargs)
+    kwargs = {} if resolution is None else {"resolution": resolution}
+    setup = build_wallclock_setup(row_budget=row_budget, seed=seed, **kwargs)
     ess, contours, gen, query = (
         setup.ess, setup.contours, setup.generator, setup.query
     )

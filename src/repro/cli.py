@@ -10,9 +10,6 @@ Gives the library's main flows a no-code entry point:
 * ``experiment`` — regenerate a specific paper table/figure;
 * ``wallclock`` — the Section 6.3 actual-execution experiment;
 * ``advise`` — the native-vs-robust deployment advisor;
-* ``bench`` — the perf-trajectory benchmark (ESS cache, loop vs
-  batched sweep engines, fan-out decision), optionally written to a
-  ``BENCH_*.json`` artifact;
 * ``check`` — the guarantee-conformance suite: seeded randomized
   workloads through every algorithm and sweep engine under runtime
   invariant monitors, exiting nonzero on any violation;
@@ -132,20 +129,31 @@ def _resolution_arg(text):
     return value
 
 
-def _validate_trace_out(path):
-    """A usable ``--trace-out`` file path, or :class:`ReproError`."""
+#: Argument dests that name a file a command writes; :func:`main` checks
+#: each given one with :func:`_validate_output_path` before the command
+#: runs, so a bad destination fails at once with an ``error:`` line
+#: instead of as an :class:`OSError` traceback after the work.
+_OUTPUT_FILE_DESTS = ("trace_out", "json", "svg", "jsonl", "save")
+
+
+def _validate_output_path(path, flag):
+    """A usable output file path for ``flag``, or :class:`ReproError`.
+
+    Creates missing parent directories; every message names the flag.
+    """
     if os.path.isdir(path):
+        raise ReproError(f"{flag} {path!r} is a directory; give a file path")
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
         raise ReproError(
-            f"--trace-out {path!r} is a directory; give a file path"
-        )
-    directory = os.path.dirname(path)
-    if directory:
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot create trace output directory {directory!r}: {exc}"
-            ) from None
+            f"cannot create {flag} directory {directory!r}: {exc}"
+        ) from None
+    if not os.access(directory, os.W_OK):
+        raise ReproError(f"{flag} directory {directory!r} is not writable")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ReproError(f"{flag} {path!r} exists and is not writable")
 
 
 @contextmanager
@@ -161,7 +169,6 @@ def _trace_to(path):
     from repro.obs.export import write_trace_jsonl
     from repro.obs.trace import Tracer, install_tracer
 
-    _validate_trace_out(path)
     tracer = Tracer()
     previous = install_tracer(tracer)
     try:
@@ -399,192 +406,6 @@ def cmd_figures(args):
     paths = render_all_figures(args.outdir, profile=args.profile)
     for path in paths:
         print(path)
-    return 0
-
-
-def _cmd_bench_trajectory(args):
-    """``repro bench --trajectory``: the cross-PR speedup ledger."""
-    from repro.bench.trajectory import build_trajectory, render_trajectory
-
-    merged = build_trajectory(args.trajectory_dir)
-    if not merged["artifacts"]:
-        print(f"no BENCH_*.json artifacts under "
-              f"{args.trajectory_dir or os.getcwd()}")
-        return 1
-    print(render_trajectory(merged))
-    if args.json:
-        import json as json_module
-
-        from repro.bench.perfbench import validate_artifact_path
-
-        validate_artifact_path(args.json)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _run_sentinel_gate(args, payload, exclude):
-    """Judge ``payload`` against the committed baselines; exit status."""
-    from repro.bench.sentinel import (evaluate_sentinel, load_baselines,
-                                      render_sentinel)
-
-    baselines = load_baselines(args.trajectory_dir, exclude=exclude)
-    verdict = evaluate_sentinel(payload, baselines)
-    print(render_sentinel(verdict))
-    if args.sentinel_json:
-        import json as json_module
-
-        from repro.bench.perfbench import validate_artifact_path
-
-        validate_artifact_path(args.sentinel_json)
-        with open(args.sentinel_json, "w", encoding="utf-8") as handle:
-            json_module.dump(verdict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.sentinel_json}")
-    return 0 if verdict["ok"] else 1
-
-
-def cmd_bench(args):
-    if args.trajectory:
-        return _cmd_bench_trajectory(args)
-    if args.sentinel and args.sentinel_artifact:
-        # Judge an artifact that already exists — no fresh bench run.
-        import json as json_module
-
-        try:
-            with open(args.sentinel_artifact, encoding="utf-8") as handle:
-                payload = json_module.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ReproError(
-                f"cannot read bench artifact "
-                f"{args.sentinel_artifact!r}: {exc}"
-            ) from None
-        return _run_sentinel_gate(args, payload,
-                                  exclude=args.sentinel_artifact)
-    from repro.bench.perfbench import run_bench
-
-    payload = run_bench(
-        json_path=args.json,
-        query=args.query,
-        profile=args.profile,
-        workers=args.workers,
-        resolution=args.resolution,
-        ess_mode=_resolve_ess_mode(args),
-        ess_big_cell=args.ess_big_cell,
-        anytime_workloads=args.anytime_workloads,
-    )
-    cache = payload["cache"]
-    rows = [["warm ESS load vs cold build", f"{cache['speedup']:.1f}x",
-             "bit-identical" if cache["roundtrip_identical"] else "MISMATCH"]]
-    for algo, stats in payload["sweeps"].items():
-        rows.append([
-            f"{algo} batched sweep vs loop",
-            f"{stats['speedup']:.1f}x",
-            "bit-identical" if stats["batch_identical"] else "MISMATCH",
-        ])
-    for algo, stats in payload["parallel"].items():
-        if stats["skipped"]:
-            rows.append([
-                f"{algo} parallel sweep x{stats['workers_requested']}",
-                "skipped",
-                stats["skip_reason"],
-            ])
-        else:
-            rows.append([
-                f"{algo} parallel sweep x{stats['workers_effective']}",
-                f"{stats['speedup']:.2f}x",
-                f"max dev {stats['max_abs_deviation']:.2e}",
-            ])
-    wc = payload["wallclock"]
-    rows.append([
-        "wallclock vector vs volcano engine",
-        f"{wc['speedup']:.1f}x",
-        "bit-identical" if wc["identical"] else "MISMATCH",
-    ])
-    tr = payload["tracing"]
-    rows.append([
-        "batched sweep tracing on vs off",
-        f"{tr['overhead_pct']:+.1f}%",
-        "bit-identical" if tr["identical"] else "MISMATCH",
-    ])
-    eb = payload["ess_build"]
-    ident = eb["sweep_identity"]
-    rows.append([
-        "lazy vs eager exhaustive sweep",
-        f"MSO {ident['mso_lazy']:.2f}",
-        "bit-identical" if ident["identical"] else "MISMATCH",
-    ])
-    for cell in eb["cells"]:
-        label = (f"lazy build {cell['query']} "
-                 f"res {cell['resolution']} ({cell['grid_points']} pts)")
-        calls = f"{cell['call_reduction']:.1f}x fewer calls"
-        eager = cell["eager"]
-        if not eager["attempted"]:
-            rows.append([label, calls, f"eager infeasible: "
-                         f"{eager['reason']}"])
-        else:
-            rows.append([
-                label, calls,
-                "bit-identical" if cell["run_identical"] else "MISMATCH",
-            ])
-    sv = payload["serving"]
-    flight = sv["single_flight"]
-    latency = sv["loadgen"]["latency_s"]
-    rows.append([
-        f"serving burst x{sv['loadgen']['concurrency']} "
-        f"({sv['loadgen']['requests']} requests)",
-        f"{sv['loadgen']['rps']:.1f} rps",
-        f"p50 {latency['p50'] * 1000:.0f} ms / "
-        f"p99 {latency['p99'] * 1000:.0f} ms",
-    ])
-    rows.append([
-        "serving single-flight",
-        f"{flight['ess_builds']} builds / "
-        f"{flight['unique_surfaces']} surfaces",
-        (f"{flight['coalesced']} coalesced" if flight["ok"]
-         else "EXTRA BUILDS"),
-    ])
-    rows.append([
-        "serving vs solo runs",
-        "bit-identical" if sv["all_identical"] else "MISMATCH",
-        f"{sv['conformance']['violations']} conformance violations",
-    ])
-    an = payload["anytime"]
-    for mode in ("sampled", "history"):
-        stats = an["modes"][mode]
-        rows.append([
-            f"anytime {mode} prior vs uniform "
-            f"({an['workloads']} workloads)",
-            f"{stats['speedup_mean']:.2f}x",
-            f"ASO {stats['aso_mean']:.2f}, "
-            f"{an['violations']} violations",
-        ])
-    ob = payload["observability"]
-    merged = ob["merged_trace"]
-    rows.append([
-        "request tracing on vs off",
-        f"{ob['overhead_pct']:+.1f}%",
-        "bit-identical" if ob["all_identical"] else "MISMATCH",
-    ])
-    rows.append([
-        "merged multi-process trace",
-        f"{merged.get('spans', 0)} spans / "
-        f"{len(merged.get('pids', []))} pids",
-        "single tree" if merged.get("ok") else "BROKEN",
-    ])
-    print(format_table(
-        f"perf bench on {cache['query']} "
-        f"({cache['grid_points']} locations, "
-        f"{payload['hardware']['cpu_count']} CPUs)",
-        ["measurement", "speedup", "fidelity"],
-        rows,
-    ))
-    if args.json:
-        print(f"wrote {args.json}")
-    if args.sentinel:
-        return _run_sentinel_gate(args, payload, exclude=args.json)
     return 0
 
 
@@ -857,10 +678,8 @@ def cmd_serve(args):
 
 
 def cmd_loadgen(args):
-    from repro.bench.perfbench import validate_artifact_path
     from repro.serve.loadgen import run_loadgen
 
-    validate_artifact_path(args.json)
     queries = [q.strip() for q in args.queries.split(",") if q.strip()]
     if not queries:
         raise ReproError("--queries must name at least one workload")
@@ -1012,39 +831,6 @@ def build_parser():
     p = sub.add_parser("figures", help="render all figures as SVG")
     p.add_argument("--outdir", default="results/figures")
 
-    p = sub.add_parser("bench", help="perf-trajectory benchmark")
-    p.add_argument("--json", default=None,
-                   help="write the BENCH artifact to this path")
-    p.add_argument("--query", default="3D_Q91")
-    p.add_argument("--workers", type=int, default=4,
-                   help="process count for the parallel sweep")
-    p.add_argument("--resolution", type=_resolution_arg, default=None,
-                   help="explicit grid resolution for the bench workload")
-    p.add_argument("--ess-big-cell", action="store_true",
-                   help="also measure the 24M-point 5-epp build cell "
-                   "that only the lazy surface can complete (minutes)")
-    p.add_argument("--anytime-workloads", type=int, default=None,
-                   help="randomized workloads for the anytime "
-                   "prior-scheduling cell (default 100)")
-    p.add_argument("--trajectory", action="store_true",
-                   help="instead of benchmarking, merge every "
-                   "BENCH_pr*.json artifact into the cross-PR "
-                   "speedup trajectory table")
-    p.add_argument("--trajectory-dir", default=None,
-                   help="directory holding the BENCH artifacts "
-                   "(default: current directory)")
-    p.add_argument("--sentinel", action="store_true",
-                   help="after benchmarking, judge the run against the "
-                   "committed BENCH_pr*.json baselines and exit 1 on "
-                   "any metric outside its tolerance band")
-    p.add_argument("--sentinel-artifact", default=None, metavar="PATH",
-                   help="with --sentinel: judge this existing artifact "
-                   "instead of running a fresh bench")
-    p.add_argument("--sentinel-json", default=None, metavar="PATH",
-                   help="with --sentinel: write the machine-readable "
-                   "verdict to this path")
-    _add_ess_arg(p)
-
     p = sub.add_parser("check", help="guarantee-conformance suite")
     p.add_argument("--workloads", type=int, default=200,
                    help="number of seeded randomized workloads")
@@ -1172,7 +958,6 @@ _HANDLERS = {
     "stats": cmd_stats,
     "figures": cmd_figures,
     "advise": cmd_advise,
-    "bench": cmd_bench,
     "check": cmd_check,
     "arena": cmd_arena,
     "serve": cmd_serve,
@@ -1183,6 +968,10 @@ _HANDLERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for dest in _OUTPUT_FILE_DESTS:
+            path = getattr(args, dest, None)
+            if path:
+                _validate_output_path(path, "--" + dest.replace("_", "-"))
         return _HANDLERS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ MSO guarantees themselves rest on, monitored by the PR-4 conformance
 suite.
 
 Knobs: ``REPRO_ESS=eager|lazy`` selects the default surface for
-``repro run`` / ``repro bench`` / workload builds (see
+``repro run`` / ``repro check`` / workload builds (see
 :func:`resolve_ess_mode`); the ``--ess`` CLI flag overrides per command.
 """
 

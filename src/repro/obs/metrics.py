@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges, histograms, phase timings.
 
 One process-global :data:`REGISTRY` absorbs everything the repo used to
-scatter across ad-hoc counters: the phase profile behind the
-``BENCH_*.json`` artifacts, run-level discovery
+scatter across ad-hoc counters: the phase profile (ESS builds,
+contours, sweeps), run-level discovery
 semantics (contours crossed, spill executions per epp, budget-kill
 charges, learned-bound updates), infrastructure counters (ESS cache
 hits/misses, engine fallbacks, worker fan-out), and anything future
@@ -211,7 +211,7 @@ class MetricsRegistry:
 
         The ``phases``/``counters`` sections have a fixed shape
         (label-free counters are flattened to their bare name) that
-        ``BENCH_*.json`` artifacts and their consumers read; labelled
+        worker processes ship home for :meth:`merge`; labelled
         counters, gauges and histograms ride along in their own
         sections.
         """

@@ -24,8 +24,8 @@ share falls under :data:`MIN_POINTS_PER_WORKER` (pool startup plus
 per-worker ESS reconstruction would dominate — the PR-1 benchmark
 measured fan-out at 0.62-0.67x of serial on a 1-CPU host).  Every skip
 is recorded in registry counters (``parallel_sweep_skipped`` plus a
-``parallel_sweep_skip_<reason>`` breakdown) so BENCH artifacts report
-the decision honestly.
+``parallel_sweep_skip_<reason>`` breakdown) so ``/metrics`` and
+``repro stats`` report the decision honestly.
 
 Knobs:
 

@@ -16,7 +16,7 @@ into a long-running server answering a stream of discovery requests
   control, per-tenant quotas, budget-kill cancellation, graceful
   drain, and the ``/metrics`` Prometheus endpoint;
 * :mod:`repro.serve.loadgen` — the closed-loop load generator behind
-  ``repro loadgen`` and the BENCH v6 ``serving`` section.
+  ``repro loadgen``, and the in-process server harness the tests use.
 
 See ``docs/serving.md`` for the protocol, knobs and metrics catalogue.
 """

@@ -1,6 +1,4 @@
-"""Closed-loop load generator and in-process serving bench.
-
-Three layers, bottom up:
+"""Closed-loop load generator and in-process server harness.
 
 * :class:`ServeClient` — a blocking keep-alive JSON client over the
   stdlib ``http.client`` (one per load-generator thread, no deps);
@@ -8,14 +6,10 @@ Three layers, bottom up:
   threads issue requests back-to-back until ``total`` have completed,
   recording per-request latency/outcome and folding them into
   p50/p90/p99/rps;
-* :func:`bench_serving` — the BENCH schema-v6 ``serving`` section:
-  boots an in-process server (:class:`ServerThread`) against a fresh
-  throw-away archive-cache directory, fires a mixed-tenant burst,
-  scrapes ``/metrics`` before and after to *prove* single-flight (the
-  ``ess_build`` phase-run delta must equal the number of unique
-  surfaces touched, with every other concurrent request coalesced or a
-  cache hit), and checks served results bit-identical to solo in-process
-  runs plus violation-free under the conformance monitor.
+* :class:`ServerThread`, :func:`solo_result` and
+  :func:`check_merged_trace` — an in-process server on a background
+  event loop, the solo run a served result must equal bit for bit, and
+  the structural verdict on one merged multi-process trace.
 
 Percentiles use linear interpolation between order statistics (the
 numpy default), implemented by hand so the hot path stays stdlib-only.
@@ -26,16 +20,10 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
 
 from repro.errors import ReproError
-
-#: Workloads of the default serving bench burst (small on purpose — the
-#: point is contention on few surfaces, not surface size).
-DEFAULT_SERVING_QUERIES = ("2D_Q91", "3D_Q91", "2D_JOB1a")
 
 
 class ServeClient:
@@ -92,15 +80,6 @@ class ServeClient:
         if status != 200:
             raise ReproError(f"/metrics returned HTTP {status}")
         return payload.decode("utf-8")
-
-    def dashboard_html(self):
-        status, payload = self.request("GET", "/dashboard")
-        if status != 200:
-            raise ReproError(f"/dashboard returned HTTP {status}")
-        return payload.decode("utf-8")
-
-    def health(self):
-        return self.request_json("GET", "/healthz")[1]
 
     def close(self):
         if self._conn is not None:
@@ -273,7 +252,7 @@ def run_loadgen(host, port, queries, total=64, concurrency=8,
 
 class ServerThread:
     """A :class:`~repro.serve.server.DiscoveryServer` on a background
-    event loop — the in-process harness for tests and the bench."""
+    event loop — the in-process harness for tests."""
 
     def __init__(self, config=None, **overrides):
         from repro.serve.server import DiscoveryServer
@@ -356,118 +335,6 @@ def solo_result(query, profile=None, algorithm="sb", qa=None, prior=None):
     return json.loads(json.dumps(payload))
 
 
-def bench_serving(queries=DEFAULT_SERVING_QUERIES, total=64, concurrency=32,
-                  profile="smoke", workers=None, num_tenants=4,
-                  sleep_s=0.02):
-    """The BENCH v6 ``serving`` section: burst, prove, compare.
-
-    Runs against a throw-away ``REPRO_CACHE_DIR`` so "one ESS build per
-    unique surface" is provable from the ``/metrics`` scrape: on a cold
-    archive every surface costs exactly one ``ess_build`` phase run
-    server-wide, no matter how many concurrent requests want it.
-    """
-    from repro.serve.server import ServeConfig
-
-    queries = list(queries)
-    unique_queries = list(dict.fromkeys(queries))
-    tmpdir = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    saved_env = {key: os.environ.get(key)
-                 for key in ("REPRO_CACHE_DIR", "REPRO_CACHE")}
-    os.environ["REPRO_CACHE_DIR"] = tmpdir
-    os.environ["REPRO_CACHE"] = "1"
-    thread = None
-    client = None
-    try:
-        config = ServeConfig.from_env(
-            profile=profile, workers=workers, ess_mode="eager",
-        )
-        thread = ServerThread(config)
-        host, port = thread.start()
-        client = ServeClient(host, port)
-        before = client.metrics_text()
-        burst = run_loadgen(
-            host, port, queries=queries, total=total,
-            concurrency=concurrency,
-            tenants=[f"tenant-{i}" for i in range(max(1, num_tenants))],
-            sleep_s=sleep_s,
-        )
-        after = client.metrics_text()
-
-        def delta(metric, labels=None):
-            return (scrape_counter(after, metric, labels)
-                    - scrape_counter(before, metric, labels))
-
-        ess_builds = delta("repro_phase_runs_total", {"phase": "ess_build"})
-        single_flight = {
-            "unique_surfaces": len(unique_queries),
-            "ess_builds": int(ess_builds),
-            "surface_builds": int(delta("repro_serve_surface_builds_total")),
-            "coalesced": int(delta("repro_serve_surface_coalesced_total")),
-            "hits": int(delta("repro_serve_surface_hits_total")),
-            "ok": int(ess_builds) == len(unique_queries),
-        }
-
-        identity = []
-        for query in unique_queries:
-            status, served = client.discover({"query": query})
-            solo = solo_result(query, profile=profile)
-            identity.append({
-                "query": query,
-                "status": status,
-                "surface_source": served.get("surface", {}).get("source"),
-                "identical": (
-                    status == 200
-                    and json.dumps(served.get("result"), sort_keys=True)
-                    == json.dumps(solo, sort_keys=True)
-                ),
-            })
-
-        violations = 0
-        conformance_requests = 0
-        for query in unique_queries:
-            status, served = client.discover(
-                {"query": query, "conformance": True}
-            )
-            if status == 200 and "conformance" in served:
-                conformance_requests += 1
-                violations += served["conformance"]["num_violations"]
-
-        health = client.health()
-        burst.pop("records", None)
-        return {
-            "config": {
-                "workers": config.workers,
-                "queue_limit": config.queue_limit,
-                "tenant_quota": config.tenant_quota,
-                "cache_mb": config.cache_mb,
-                "profile": profile,
-            },
-            "loadgen": burst,
-            "single_flight": single_flight,
-            "identity": identity,
-            "all_identical": all(row["identical"] for row in identity),
-            "conformance": {
-                "requests": conformance_requests,
-                "violations": violations,
-                "ok": (conformance_requests == len(unique_queries)
-                       and violations == 0),
-            },
-            "health": {key: health.get(key)
-                       for key in ("status", "workers", "surfaces")},
-        }
-    finally:
-        if client is not None:
-            client.close()
-        if thread is not None:
-            thread.stop()
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
 def _await_trace_file(trace_dir, trace_id, timeout=10.0):
     """The server writes trace JSONL off the event loop; wait for it."""
     path = os.path.join(trace_dir, f"trace-{trace_id}.jsonl")
@@ -522,141 +389,3 @@ def check_merged_trace(meta, spans):
         )
     )
     return verdict
-
-
-def bench_observability(queries=DEFAULT_SERVING_QUERIES, total=48,
-                        concurrency=12, profile="smoke", workers=None,
-                        sweep_query="2D_Q91", sleep_s=0.02, pairs=3):
-    """The BENCH v9 ``observability`` section: overhead, identity, trace.
-
-    Three proofs against one in-process server with a throw-away
-    archive cache and a trace spool directory:
-
-    * **overhead** — ``pairs`` alternating closed-loop burst pairs,
-      tracing off then every request traced (``trace_every=1``); the
-      end-to-end overhead is the *median* of the per-pair relative p50
-      deltas, so one noisy burst cannot swing the verdict.  Bursts
-      carry the same deterministic per-request service time the
-      serving bench uses (``sleep_s``), keeping the request cost
-      representative — against the smoke profile's artificially tiny
-      discovery runs, a fixed few-dozen-microsecond tracing cost would
-      otherwise read as a large relative number.
-    * **identity** — the served ``result`` payload for each query is
-      bit-identical (as sorted JSON) with tracing on, with tracing
-      off, and to a solo in-process run: tracing must be a pure
-      observer.
-    * **merged trace** — one traced ``evaluate`` request with
-      ``engine=parallel`` (``REPRO_WORKERS=2`` and
-      ``REPRO_FORCE_PARALLEL=1`` exported before boot so forked pool
-      workers inherit them) must yield a single JSONL trace whose
-      spans cover the front-end, the pool worker, and the nested
-      sweep workers — see :func:`check_merged_trace`.
-    """
-    from repro.obs.export import read_trace_jsonl
-    from repro.serve.server import ServeConfig
-
-    queries = list(queries)
-    unique_queries = list(dict.fromkeys(queries))
-    tmpdir = tempfile.mkdtemp(prefix="repro-obs-bench-")
-    trace_dir = os.path.join(tmpdir, "traces")
-    saved_env = {key: os.environ.get(key)
-                 for key in ("REPRO_CACHE_DIR", "REPRO_CACHE",
-                             "REPRO_WORKERS", "REPRO_FORCE_PARALLEL")}
-    os.environ["REPRO_CACHE_DIR"] = os.path.join(tmpdir, "cache")
-    os.environ["REPRO_CACHE"] = "1"
-    # Exported before boot: the pool forks workers lazily, so these are
-    # inherited and govern the nested sweep inside `engine=parallel`.
-    os.environ["REPRO_WORKERS"] = "2"
-    os.environ["REPRO_FORCE_PARALLEL"] = "1"
-    thread = None
-    client = None
-    try:
-        config = ServeConfig.from_env(
-            profile=profile, workers=workers, ess_mode="eager",
-            trace_dir=trace_dir,
-        )
-        thread = ServerThread(config)
-        host, port = thread.start()
-        client = ServeClient(host, port)
-
-        # Warm every surface (and both code paths) so the off/on bursts
-        # compare steady-state serving, not ESS builds.
-        for query in unique_queries:
-            client.discover({"query": query})
-            client.discover({"query": query, "trace": True})
-
-        deltas = []
-        off = on = None
-        for _ in range(max(1, int(pairs))):
-            off = run_loadgen(host, port, queries=queries, total=total,
-                              concurrency=concurrency, sleep_s=sleep_s,
-                              trace_every=0)
-            on = run_loadgen(host, port, queries=queries, total=total,
-                             concurrency=concurrency, sleep_s=sleep_s,
-                             trace_every=1)
-            off_p50 = off["latency_s"]["p50"]
-            on_p50 = on["latency_s"]["p50"]
-            deltas.append(100.0 * (on_p50 - off_p50) / off_p50
-                          if off_p50 > 0 else 0.0)
-        overhead_pct = sorted(deltas)[len(deltas) // 2]
-
-        identity = []
-        for query in unique_queries:
-            _, untraced = client.discover({"query": query, "trace": False})
-            _, traced = client.discover({"query": query, "trace": True})
-            solo = solo_result(query, profile=profile)
-            canon = lambda payload: json.dumps(  # noqa: E731
-                payload.get("result"), sort_keys=True)
-            identity.append({
-                "query": query,
-                "traced_has_trace_id": bool(traced.get("trace_id")),
-                "identical": (canon(untraced) == canon(traced)
-                              == json.dumps(solo, sort_keys=True)),
-            })
-
-        status, sweep = client.discover({
-            "query": sweep_query, "kind": "evaluate",
-            "engine": "parallel", "trace": True,
-        })
-        merged = {"ok": False, "error": f"evaluate HTTP {status}"}
-        if status == 200 and sweep.get("trace_id"):
-            path = _await_trace_file(trace_dir, sweep["trace_id"])
-            meta, spans = read_trace_jsonl(path)
-            merged = check_merged_trace(meta, spans)
-            merged["sweep_mso"] = sweep.get("result", {}).get("mso")
-
-        dashboard = client.dashboard_html()
-        after = client.metrics_text()
-        return {
-            "config": {
-                "workers": config.workers,
-                "profile": profile,
-                "sweep_workers": 2,
-                "queries": unique_queries,
-            },
-            "tracing_off": {k: v for k, v in off.items()
-                            if k != "records"},
-            "tracing_on": {k: v for k, v in on.items()
-                           if k != "records"},
-            "overhead_pct_pairs": deltas,
-            "overhead_pct": overhead_pct,
-            "overhead_ok": overhead_pct < 2.0,
-            "identity": identity,
-            "all_identical": all(row["identical"] for row in identity),
-            "merged_trace": merged,
-            "spans_dropped": int(scrape_counter(
-                after, "repro_trace_spans_dropped_total")),
-            "dashboard_bytes": len(dashboard),
-            "dashboard_ok": "<svg" in dashboard,
-        }
-    finally:
-        if client is not None:
-            client.close()
-        if thread is not None:
-            thread.stop()
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        shutil.rmtree(tmpdir, ignore_errors=True)

@@ -236,7 +236,7 @@ class TestArenaReport:
         aggregates = report.by_algorithm()
         assert set(aggregates) == set(self.LINEUP)
         payload = report.to_payload()
-        json.dumps(payload)  # BENCH-embeddable
+        json.dumps(payload)  # what `repro arena --json` writes
         assert payload["num_violations"] == 0
         series = dict(report.scatter_series())
         assert all(len(series[name]) == 2 for name in self.LINEUP)

@@ -84,19 +84,6 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert "resolution" in capsys.readouterr().err
 
-    def test_bench_bad_resolution_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--resolution", "1"])
-        assert excinfo.value.code == 2
-        assert "resolution" in capsys.readouterr().err
-
-    def test_bench_unknown_workload_reports_error(self, capsys):
-        code = main(["--profile", "smoke", "bench", "--query", "NO_SUCH"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "NO_SUCH" in err
-
     def test_describe_unknown_workload_reports_error(self, capsys):
         code = main(["--profile", "smoke", "describe", "NO_SUCH_QUERY"])
         assert code == 2
@@ -108,28 +95,6 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "bogus" in err and "loop" in err
-
-    def test_bench_json_directory_rejected_before_measuring(
-        self, capsys, tmp_path
-    ):
-        """An unwritable --json destination must fail in seconds with a
-        clean ReproError, not as an OSError traceback after the whole
-        benchmark has run."""
-        code = main(["--profile", "smoke", "bench", "--json",
-                     str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "directory" in err
-
-    def test_bench_json_unwritable_parent_rejected(self, capsys, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        code = main(["--profile", "smoke", "bench", "--json",
-                     str(blocker / "out.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
 
     def test_loadgen_json_directory_rejected(self, capsys, tmp_path):
         code = main(["loadgen", "--json", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Tests for the observability CLI surface: ``repro trace``,
-``repro stats``, and the ``--trace-out`` flag."""
+``repro stats``, the ``--trace-out`` flag, and the up-front check every
+file-writing flag gets."""
 
 import json
 
@@ -107,13 +108,35 @@ class TestTraceOutFlag:
         assert meta["schema"] == "repro.trace.v1"
         assert any(s["name"] == "discovery.run" for s in spans)
 
-    def test_trace_out_directory_reports_error(self, capsys, tmp_path):
-        code = main(["--profile", "smoke", "run", "2D_Q42",
-                     "--trace-out", str(tmp_path)])
+    @pytest.mark.parametrize("kind", ["directory", "uncreatable"])
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["run", "2D_Q42"], "--trace-out", id="run"),
+        pytest.param(["wallclock", "--rows", "6000", "--resolution", "8"],
+                     "--trace-out", id="wallclock"),
+        pytest.param(["loadgen", "--port", "1"], "--json", id="loadgen"),
+        pytest.param(["arena", "--workloads", "1", "--engine", "batch"],
+                     "--json", id="arena-json"),
+        pytest.param(["arena", "--workloads", "1", "--engine", "batch"],
+                     "--svg", id="arena-svg"),
+        pytest.param(["check", "--workloads", "1"], "--jsonl", id="check"),
+        pytest.param(["build", "2D_Q42"], "--save", id="build"),
+    ])
+    def test_bad_output_path_reports_error(self, capsys, tmp_path, argv,
+                                           flag, kind):
+        """Every flag that writes a file is checked before the command
+        runs: exit 2, an ``error:`` line naming the flag, no output."""
+        if kind == "directory":
+            target, reason = tmp_path, "is a directory"
+        else:
+            blocker = tmp_path / "blocker"
+            blocker.write_text("a file, not a directory")
+            target, reason = blocker / "sub" / "out.dat", "cannot create"
+        code = main(["--profile", "smoke", *argv, flag, str(target)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "is a directory" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert flag in captured.err and reason in captured.err
+        assert captured.out == ""
 
     def test_tracer_uninstalled_after_command(self, capsys, tmp_path):
         from repro.obs import trace

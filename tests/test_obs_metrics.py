@@ -71,8 +71,8 @@ class TestInstruments:
         }
 
     def test_summary_phases_counters_shape(self, registry):
-        # The shape `repro bench --sentinel`, the BENCH_pr*.json
-        # extractors and the benchmark's /metrics deltas read.
+        # The shape serve and sweep workers ship home for the parent's
+        # `merge`, and `repro stats --format json` prints.
         with registry.phase("build"):
             pass
         registry.incr("cache_hits", 3)

@@ -4,12 +4,8 @@ The other half of the prior contract (the inert half lives in
 ``test_prior_inertness.py``): with a *sampled* or *history* prior the
 schedule may change — but all engines must change identically, every
 MSO-machinery invariant must still hold, and the average-case
-discovery cost at likely locations must actually drop.  Also covers
-the v7 bench cell and the cross-PR trajectory merger.
+discovery cost at likely locations must actually drop.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
@@ -21,7 +17,7 @@ from repro.core.aligned_bound import AlignedBound
 from repro.core.mso import evaluate_algorithm
 from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
-from repro.prior import SampledPrior
+from repro.prior import HistoryStore, SampledPrior, history_key, make_prior
 
 from tests.conftest import fuzz_seeds
 
@@ -84,16 +80,40 @@ def test_prior_cuts_cost_at_true_location():
     assert ratios.mean() >= 1.2
 
 
-def test_bench_anytime_smoke():
-    from repro.bench.perfbench import bench_anytime
-
-    stats = bench_anytime(num_workloads=3)
-    assert stats["workloads"] == 3
-    assert stats["violations"] == 0
-    assert set(stats["modes"]) == {"uniform", "sampled", "history"}
-    for mode in ("sampled", "history"):
-        assert stats["modes"][mode]["speedup_mean"] >= 1.0
-        assert stats["modes"][mode]["speedup_min"] >= 1.0 - 1e-12
+def test_prior_scheduled_runs_conform_and_never_cost_more(tmp_path):
+    """Uniform, sampled and history priors at the true location: every
+    run passes the conformance monitor, and neither active prior ever
+    costs more than the uniform run of the same algorithm.  The history
+    prior is fitted from the true location recorded in a fresh store —
+    the repeat-workload case, where the schedule is most aggressive."""
+    monitor = ConformanceMonitor()
+    store = HistoryStore(str(tmp_path / "history.jsonl"))
+    try:
+        for seed in range(3):
+            instance = build_conformance_instance(seed)
+            qa = instance.query.true_location()
+            store.record(history_key(instance.query, instance.ess), qa)
+            priors = {kind: make_prior(kind, instance.query, instance.ess,
+                                       store=store)
+                      for kind in ("uniform", "sampled", "history")}
+            with monitor.context(seed=seed, workload=instance.name):
+                for name, cls in ALGORITHMS.items():
+                    costs = {}
+                    for kind, prior in priors.items():
+                        algorithm = cls(instance.ess, instance.contours,
+                                        prior=prior)
+                        assert (algorithm.prior_schedule().active
+                                == (kind != "uniform"))
+                        result = algorithm.run(qa, trace=True)
+                        monitor.check_run(result, algorithm, engine="loop")
+                        costs[kind] = result.total_cost
+                    for kind in ("sampled", "history"):
+                        assert (costs[kind]
+                                <= costs["uniform"] * (1 + 1e-12)), (
+                            seed, name, kind, costs)
+    finally:
+        store.close()
+    assert monitor.ok, [v.invariant for v in monitor.violations]
 
 
 def test_start_contour_metric_observed():
@@ -108,86 +128,3 @@ def test_start_contour_metric_observed():
     after = REGISTRY.summary().get("histograms", {}).get(
         "repro_prior_start_contour{prior=sampled}", {}).get("count", 0)
     assert after == before + 1
-
-
-# ----------------------------------------------------------------------
-# Trajectory merger
-# ----------------------------------------------------------------------
-
-
-def _write(path, payload):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-
-
-def test_trajectory_merges_mixed_schemas(tmp_path):
-    from repro.bench.trajectory import build_trajectory, render_trajectory
-
-    _write(tmp_path / "BENCH_pr1.json", {
-        "schema_version": 1,
-        "cache": {"speedup": 33.6},
-        "sweeps": {"sb": {"speedup": 0.62}},
-    })
-    _write(tmp_path / "BENCH_pr2.json", {
-        "schema_version": 2,
-        "cache": {"speedup": 28.9},
-        "sweeps": {"pb": {"speedup": 96.6}, "sb": {"speedup": 6.2}},
-        "parallel": {"sb": {"skipped": True, "skip_reason": "single_cpu"}},
-    })
-    _write(tmp_path / "BENCH_pr8.json", {
-        "schema_version": 7,
-        "cache": {"speedup": 9.6},
-        "sweeps": {"sb": {"speedup": 5.4}},
-        "anytime": {"modes": {"sampled": {"speedup_mean": 1.46},
-                              "history": {"speedup_mean": 1.46}}},
-    })
-    _write(tmp_path / "BENCH_pr9.json", {"not": "valid"})
-    with open(tmp_path / "BENCH_pr10.json", "w") as handle:
-        handle.write("{corrupt")
-    merged = build_trajectory(str(tmp_path))
-    prs = [a["pr"] for a in merged["artifacts"]]
-    assert prs == [1, 2, 8, 9]  # corrupt pr10 skipped, order numeric
-    by_key = {m["metric"]: m for m in merged["metrics"]}
-    assert by_key["cache_speedup"]["per_pr"][1]["value"] == 33.6
-    # v1 "sweeps" are parallel numbers, not batched-sweep ones.
-    assert 1 not in by_key["batched_sweep"]["per_pr"]
-    assert by_key["batched_sweep"]["per_pr"][2]["display"] == "96.6x (pb)"
-    assert by_key["parallel_sweep"]["per_pr"][1]["value"] == 0.62
-    assert "skipped" in by_key["parallel_sweep"]["per_pr"][2]["display"]
-    assert by_key["anytime_sampled"]["per_pr"][8]["display"] == "1.46x"
-    table = render_trajectory(merged)
-    assert "PR8" in table and "1.46x" in table
-
-
-def test_trajectory_on_repo_artifacts():
-    """The committed BENCH artifacts merge cleanly."""
-    from repro.bench.trajectory import build_trajectory
-
-    repo_root = os.path.join(os.path.dirname(__file__), os.pardir)
-    merged = build_trajectory(repo_root)
-    assert len(merged["artifacts"]) >= 5
-    keys = {m["metric"] for m in merged["metrics"]}
-    assert "cache_speedup" in keys
-    assert "serving_rps" in keys
-
-
-def test_cli_trajectory(tmp_path, capsys, monkeypatch):
-    from repro.cli import main
-
-    _write(tmp_path / "BENCH_pr1.json", {
-        "schema_version": 1, "cache": {"speedup": 12.5},
-    })
-    out_json = tmp_path / "traj.json"
-    assert main(["bench", "--trajectory",
-                 "--trajectory-dir", str(tmp_path),
-                 "--json", str(out_json)]) == 0
-    out = capsys.readouterr().out
-    assert "12.5x" in out
-    assert out_json.exists()
-    payload = json.loads(out_json.read_text())
-    assert payload["artifacts"][0]["pr"] == 1
-    # Empty directory: exit 1 with a message, not a traceback.
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert main(["bench", "--trajectory",
-                 "--trajectory-dir", str(empty)]) == 1

@@ -536,7 +536,7 @@ class TestEndpoints:
             ) >= 1
             assert "repro_serve_latency_seconds_bucket" in text
             assert "repro_serve_cache_resident_bytes" in text
-            health = client.health()
+            health = client.request_json("GET", "/healthz")[1]
             assert health["status"] == "ok"
             assert health["workers"] == 2
             assert health["surfaces"]["entries"] == 1
