@@ -78,7 +78,7 @@ from repro.engine.driver import (
     native_run,
     oracle_run,
 )
-from repro.engine.spill import ENGINES, execute_plan, resolve_engine
+from repro.engine.spill import ENGINES, execute_plan
 from repro.errors import (
     BudgetExhausted,
     DiscoveryError,
@@ -143,7 +143,7 @@ __all__ = [
     # results and metrics
     "DiscoveryResult", "ExecutionRecord", "Evaluation", "evaluate_algorithm",
     # engine
-    "execute_plan", "ENGINES", "resolve_engine",
+    "execute_plan", "ENGINES",
     "EngineDiscoveryDriver", "oracle_run", "native_run",
     "measured_location",
     # errors

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.bench import workloads
 from repro.catalog.datagen import DataGenerator, scale_cardinalities
 from repro.core.aligned_bound import AlignedBound, contour_alignment_stats
@@ -53,7 +54,7 @@ _PROFILE_CACHE = {}
 
 def algorithm_profiles(name, with_eval=("pb", "sb", "ab"), profile=None):
     """Build (and cache) PB/SB/AB plus requested exhaustive evaluations."""
-    key = (name, profile or workloads.active_profile())
+    key = (name, settings.get("REPRO_PROFILE", profile))
     prof = _PROFILE_CACHE.get(key)
     if prof is None:
         instance = workloads.load(name, profile=profile)
@@ -301,7 +302,7 @@ def run_fig7(name="2D_Q91", qa=(0.04, 0.1), profile=None):
 # Section 6.3: the wall-clock (actual execution) experiment
 # ----------------------------------------------------------------------
 
-def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="auto",
+def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="vector",
                   resolution=None):
     """Native vs SpillBound vs AlignedBound on real engine executions.
 
@@ -310,8 +311,8 @@ def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="auto",
     budgeted executions, spill-mode monitoring, and actual costs.
 
     Args:
-        engine: execution engine selector (``auto`` / ``vector`` /
-            ``volcano``) threaded into every engine run.
+        engine: execution engine (``vector`` / ``volcano``) threaded
+            into every engine run.
         resolution: optional ESS grid resolution override.
     """
     from repro.bench.wallclock import build_wallclock_setup

@@ -11,7 +11,8 @@ instances through :func:`load`.  Grid resolution follows a *profile*:
 * ``"smoke"`` — tiny grids for unit tests.
 
 Set ``REPRO_PROFILE=paper`` (or ``bench``/``smoke``) to override the
-default ``bench`` profile used by the benchmark harness.
+default ``bench`` profile used by the benchmark harness (see
+:mod:`repro.settings`).
 
 Instances are cached at two levels: an in-process registry (keyed by
 name/profile/resolution/cost-ratio plus the cost model's *value*
@@ -22,15 +23,14 @@ optimizer sweep entirely.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.catalog.job import q1a
 from repro.catalog.tpcds import build_query, suite_names
-from repro.errors import QueryError
 from repro.ess.contours import DEFAULT_COST_RATIO
 from repro.ess.grid import ESSGrid
-from repro.ess.lazy import LazyESS, contours_for, resolve_ess_mode
+from repro.ess.lazy import LazyESS, contours_for
 from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
 from repro.obs.metrics import REGISTRY
@@ -47,17 +47,6 @@ RESOLUTION_PROFILES = {
 #: Floor applied below each epp's true selectivity so the actual query
 #: location always lies inside the grid.
 _SEL_MIN_CAP = 1e-5
-
-
-def active_profile():
-    """The resolution profile selected via ``REPRO_PROFILE``."""
-    profile = os.environ.get("REPRO_PROFILE", "bench")
-    if profile not in RESOLUTION_PROFILES:
-        raise QueryError(
-            f"unknown REPRO_PROFILE {profile!r}; "
-            f"choose from {sorted(RESOLUTION_PROFILES)}"
-        )
-    return profile
 
 
 @dataclass
@@ -126,7 +115,7 @@ def surface_key(name, profile=None, resolution=None,
     serve both.  Cheap (query parse + grid construction, no optimizer
     calls).  Returns ``(disk_key, num_points)``.
     """
-    profile = profile or active_profile()
+    profile = settings.get("REPRO_PROFILE", profile)
     _, grid, disk_key, _ = _surface_spec(name, profile, resolution,
                                          cost_model)
     return disk_key, int(grid.num_points)
@@ -143,10 +132,10 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
         cost_ratio: contour spacing.
         cost_model: optimizer cost model (ablations pass perturbed ones).
         ess_mode: ``"eager"``/``"lazy"`` surface construction; default
-            from ``REPRO_ESS`` (see :func:`repro.ess.lazy.resolve_ess_mode`).
+            from ``REPRO_ESS``.
     """
-    profile = profile or active_profile()
-    ess_mode = resolve_ess_mode(ess_mode)
+    profile = settings.get("REPRO_PROFILE", profile)
+    ess_mode = settings.get("REPRO_ESS", ess_mode)
     # Cost models key by value fingerprint, never by id(): ids are
     # recycled after garbage collection, so a perturbed-cost-model
     # ablation could silently hit a stale entry built for a dead model.

@@ -27,6 +27,11 @@ Gives the library's main flows a no-code entry point:
 ``repro run`` and ``repro wallclock`` accept ``--trace-out`` to write
 a JSONL span trace of the command; ``REPRO_TRACE=1`` (optionally with
 ``REPRO_TRACE_OUT``) enables tracing for any command.
+
+Before any command runs, :func:`main` resolves every setting of
+:mod:`repro.settings` once: a flag the command has wins over its
+environment variable, and a malformed value of either exits 2 with an
+``error:`` line naming its source.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import os
 import sys
 from contextlib import contextmanager
 
+from repro import settings
 from repro.bench import harness, workloads
 from repro.bench.report import format_histogram, format_table, format_value
 from repro.core import bounds
@@ -44,8 +50,9 @@ from repro.core.mso import evaluate_algorithm
 from repro.core.native import NativeOptimizer
 from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
+from repro.engine.spill import ENGINES
 from repro.errors import ReproError
-from repro.prior import PRIOR_KINDS, make_prior
+from repro.prior import make_prior
 
 _ALGORITHMS = {
     "pb": lambda inst, prior=None: PlanBouquet(inst.ess, inst.contours,
@@ -55,54 +62,6 @@ _ALGORITHMS = {
     "ab": lambda inst, prior=None: AlignedBound(inst.ess, inst.contours,
                                                 prior=prior),
 }
-
-#: ESS surface modes the CLI accepts (validated with source attribution
-#: before anything downstream runs).
-ESS_CHOICES = ("eager", "lazy")
-
-#: Execution engines ``repro wallclock`` accepts.
-ENGINE_CHOICES = ("auto", "vector", "volcano")
-
-
-def resolve_choice(value, flag, env, choices, default=None, what=None):
-    """Resolve a flag/env-configurable choice with source attribution.
-
-    ``value`` is the flag's parsed value (None = flag not given); the
-    environment variable is consulted next, then ``default``.  Invalid
-    values raise :class:`ReproError` naming the source they came from
-    — the flag or the variable — so a stale export never masquerades
-    as a typo on the command line.  The shared spelling for every
-    knob of this shape (``--prior``/``REPRO_PRIOR``,
-    ``--ess``/``REPRO_ESS``, ``--engine``/``REPRO_ENGINE``).
-    """
-    what = what or f"{flag.lstrip('-')} choice"
-    source = flag
-    if value is None:
-        raw = os.environ.get(env, "").strip()
-        if not raw:
-            return default
-        value, source = raw, env
-    value = str(value).strip().lower()
-    if value not in choices:
-        raise ReproError(
-            f"invalid {what} {value!r} (from {source}); "
-            f"choose from {', '.join(choices)}"
-        )
-    return value
-
-
-def _resolve_prior_kind(args):
-    """The run's prior kind from ``--prior`` / ``REPRO_PRIOR``."""
-    return resolve_choice(getattr(args, "prior", None), "--prior",
-                          "REPRO_PRIOR", PRIOR_KINDS, default="uniform",
-                          what="prior")
-
-
-def _resolve_ess_mode(args):
-    """The run's ESS mode from ``--ess`` / ``REPRO_ESS``."""
-    return resolve_choice(getattr(args, "ess", None), "--ess",
-                          "REPRO_ESS", ESS_CHOICES, default="eager",
-                          what="ESS mode")
 
 _EXPERIMENTS = (
     "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
@@ -233,7 +192,7 @@ def _record_history(instance, qa, prior_kind):
     when ``REPRO_PRIOR_STORE`` names an explicit store; it is
     best-effort — a read-only store never fails the discovery.
     """
-    if prior_kind != "history" and not os.environ.get("REPRO_PRIOR_STORE"):
+    if prior_kind != "history" and settings.get("REPRO_PRIOR_STORE") is None:
         return
     from repro.prior import HistoryStore, history_key
 
@@ -248,9 +207,9 @@ def _record_history(instance, qa, prior_kind):
 
 
 def cmd_run(args):
-    prior_kind = _resolve_prior_kind(args)
+    prior_kind = args.prior
     instance = workloads.load(args.query, profile=args.profile,
-                              ess_mode=_resolve_ess_mode(args))
+                              ess_mode=args.ess)
     qa = _parse_qa(args.qa) if args.qa else instance.query.true_location()
     if args.algorithm == "native":
         algorithm = NativeOptimizer(instance.ess)
@@ -286,7 +245,7 @@ def cmd_run(args):
 
 
 def cmd_evaluate(args):
-    prior_kind = _resolve_prior_kind(args)
+    prior_kind = args.prior
     instance = workloads.load(args.query, profile=args.profile)
     prior = make_prior(prior_kind, instance.query, instance.ess)
     rows = []
@@ -382,9 +341,10 @@ def cmd_experiment(args):
 
 
 def cmd_wallclock(args):
-    engine = resolve_choice(args.engine, "--engine", "REPRO_ENGINE",
-                            ENGINE_CHOICES, default="auto",
-                            what="execution engine")
+    engine = args.engine
+    if engine not in ENGINES:
+        raise ReproError(f"unknown --engine {engine!r}; "
+                         f"choose from {', '.join(ENGINES)}")
     with _trace_to(args.trace_out):
         result = harness.run_wallclock(row_budget=args.rows, seed=args.seed,
                                        engine=engine,
@@ -431,7 +391,7 @@ def cmd_check(args):
                   f"align={outcome.alignment_fraction:.2f} "
                   f"{outcome.engines}")
 
-    prior_kind = _resolve_prior_kind(args)
+    prior_kind = args.prior
     report = harness.run_conformance(
         num_workloads=args.workloads,
         base_seed=args.base_seed,
@@ -441,7 +401,7 @@ def cmd_check(args):
         use_cache=not args.no_cache,
         inject=args.inject,
         progress=progress,
-        ess_mode=_resolve_ess_mode(args),
+        ess_mode=args.ess,
         prior=None if prior_kind == "uniform" else prior_kind,
     )
     summary = report.summary()
@@ -668,7 +628,7 @@ def cmd_serve(args):
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue, tenant_quota=args.quota,
         cache_mb=args.cache_mb, profile=args.profile, ess_mode=args.ess,
-        prior=_resolve_prior_kind(args),
+        prior=args.prior,
         conformance=args.conformance, drain_timeout_s=args.drain_timeout,
         trace_every=args.trace_every, trace_dir=args.trace_dir,
         audit_path=args.audit, audit_threshold_s=args.audit_threshold,
@@ -730,8 +690,7 @@ def cmd_advise(args):
 
 
 def _add_prior_arg(parser):
-    """``--prior uniform|sampled|history`` (validated with source
-    attribution by :func:`resolve_choice`, like ``REPRO_PRIOR``)."""
+    """``--prior uniform|sampled|history``, backing ``REPRO_PRIOR``."""
     parser.add_argument("--prior", default=None, metavar="KIND",
                         help="selectivity prior guiding contour "
                         "scheduling: uniform (exact no-op), sampled "
@@ -741,8 +700,7 @@ def _add_prior_arg(parser):
 
 
 def _add_ess_arg(parser):
-    """``--ess eager|lazy`` (validated downstream so bad values raise
-    :class:`ReproError` whether they come from the flag or ``REPRO_ESS``)."""
+    """``--ess eager|lazy``, backing ``REPRO_ESS``."""
     parser.add_argument("--ess", default=None, metavar="MODE",
                         help="ESS surface mode: eager (full optimizer "
                         "sweep) or lazy (resolve on demand); default "
@@ -755,8 +713,8 @@ def build_parser():
         description="Platform-independent robust query processing",
     )
     parser.add_argument("--profile", default=None,
-                        choices=[None, "smoke", "bench", "paper"],
-                        help="grid-resolution profile")
+                        help="grid-resolution profile: smoke, bench or "
+                        "paper; default from REPRO_PROFILE, else bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list workload queries")
@@ -793,10 +751,9 @@ def build_parser():
     p = sub.add_parser("wallclock", help="the actual-execution experiment")
     p.add_argument("--rows", type=int, default=40_000)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--engine", default=None, metavar="ENGINE",
-                   help="execution engine for every plan run: auto, "
-                   "vector or volcano; default from REPRO_ENGINE, "
-                   "else auto")
+    p.add_argument("--engine", default="vector", metavar="ENGINE",
+                   help="execution engine for every plan run: vector "
+                   "or volcano (the row-at-a-time reference)")
     p.add_argument("--resolution", type=_resolution_arg, default=None,
                    help="explicit grid resolution for the workload")
     p.add_argument("--trace-out", default=None,
@@ -965,22 +922,41 @@ _HANDLERS = {
 }
 
 
+def _resolve_settings(args):
+    """Resolve every setting before the command runs.
+
+    A flag the command has is replaced by its resolved value (flag,
+    else environment, else default); every other setting is resolved
+    from the environment alone, so a malformed export fails here, not
+    midway through the work.
+    """
+    for setting in settings.SETTINGS.values():
+        dest = (setting.flag or "").lstrip("-").replace("-", "_")
+        if dest and hasattr(args, dest):
+            setattr(args, dest, settings.get(setting.name,
+                                             getattr(args, dest)))
+        else:
+            settings.get(setting.name)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _resolve_settings(args)
         for dest in _OUTPUT_FILE_DESTS:
             path = getattr(args, dest, None)
             if path:
                 _validate_output_path(path, "--" + dest.replace("_", "-"))
-        return _HANDLERS[args.command](args)
+        try:
+            return _HANDLERS[args.command](args)
+        finally:
+            # REPRO_TRACE=1 + REPRO_TRACE_OUT=<path> without any flag.
+            from repro.obs.trace import flush_env_tracer
+
+            flush_env_tracer()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # REPRO_TRACE=1 + REPRO_TRACE_OUT=<path> without any flag.
-        from repro.obs.trace import flush_env_tracer
-
-        flush_env_tracer()
 
 
 if __name__ == "__main__":

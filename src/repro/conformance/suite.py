@@ -13,8 +13,8 @@ sweep engines and checks every runtime invariant through an installed
 * the **parallel** multiprocess engine — invoked directly through its
   :class:`~repro.perf.parallel.SweepSpec` (bypassing the serial
   fallback so a skip is reported honestly, never silently replaced by
-  the batch result), with ``REPRO_FORCE_PARALLEL=1`` so the cost guard
-  does not veto the small grids on 1-CPU hosts, then compared
+  the batch result), with ``force=True`` so the cost guard does not
+  veto the small grids on 1-CPU hosts, then compared
   bit-for-bit against the loop reference;
 * a sample of **traced scalar runs** per algorithm, feeding the
   per-execution invariants (half-space pruning, exact learning,
@@ -30,7 +30,6 @@ the MSO bound, or a tampered learned selectivity) so the negative path
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,15 +121,7 @@ def _forced_parallel_sweep(algorithm):
     if spec is None:
         return None
     flats = list(range(algorithm.ess.grid.num_points))
-    previous = os.environ.get("REPRO_FORCE_PARALLEL")
-    os.environ["REPRO_FORCE_PARALLEL"] = "1"
-    try:
-        return parallel_suboptimality(spec, flats, PARALLEL_WORKERS)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FORCE_PARALLEL", None)
-        else:
-            os.environ["REPRO_FORCE_PARALLEL"] = previous
+    return parallel_suboptimality(spec, flats, PARALLEL_WORKERS, force=True)
 
 
 def _algorithms(instance, prior=None):

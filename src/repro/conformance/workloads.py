@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.bench.randgen import random_workload
 from repro.ess.grid import ESSGrid
-from repro.ess.lazy import LazyESS, contours_for, resolve_ess_mode
+from repro.ess.lazy import LazyESS, contours_for
 from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
 from repro.obs.metrics import REGISTRY
@@ -108,7 +109,7 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
         seed: workload seed (also seeds the knob draw and cost noise).
         use_cache: consult/populate the persistent ESS archive cache.
         ess_mode: ``"eager"``/``"lazy"`` surface construction; default
-            from ``REPRO_ESS`` (see :func:`repro.ess.lazy.resolve_ess_mode`).
+            from ``REPRO_ESS``.
         family: workload family (one of :data:`WORKLOAD_FAMILIES`);
             ``"adversarial"`` builds the constructive Theorem 4.6
             lower-bound instance instead of a randomized one.
@@ -127,7 +128,7 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
         from repro.arena.adversarial import build_adversarial_instance
 
         return build_adversarial_instance(seed, resolution=resolution)
-    ess_mode = resolve_ess_mode(ess_mode)
+    ess_mode = settings.get("REPRO_ESS", ess_mode)
     query = random_workload(seed, max_epps=MAX_EPPS)
     auto_res, auto_ratio, auto_noise = knobs_for(seed, query.num_epps)
     resolution = auto_res if resolution is None else int(resolution)

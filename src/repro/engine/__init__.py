@@ -5,10 +5,10 @@ Two interchangeable engines sit behind
 interpreter (:mod:`repro.engine.iterators`, ground truth) and the
 columnar vector engine (:mod:`repro.engine.vector`), charge-equivalent
 to it — identical :class:`~repro.engine.executor.ExecutionOutcome` on
-completed and budget-killed runs alike.  ``engine="auto"`` resolves via
-the ``REPRO_ENGINE`` environment variable (default: vector).
+completed and budget-killed runs alike.  Vector is the default; it
+falls back to Volcano for an execution it declines.
 """
 
-from repro.engine.spill import ENGINES, execute_plan, resolve_engine
+from repro.engine.spill import ENGINES, execute_plan
 
-__all__ = ["ENGINES", "execute_plan", "resolve_engine"]
+__all__ = ["ENGINES", "execute_plan"]

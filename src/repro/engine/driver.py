@@ -113,7 +113,7 @@ class EngineExecutor:
     (Interface: :class:`~repro.core.discovery.SimulatedExecutor`.)
     """
 
-    def __init__(self, ess, data_provider, engine="auto"):
+    def __init__(self, ess, data_provider, engine="vector"):
         self.ess = ess
         self.data_provider = data_provider
         self.engine = engine
@@ -195,7 +195,7 @@ class EngineDiscoveryDriver:
             :func:`~repro.engine.spill.execute_plan` call.
     """
 
-    def __init__(self, simulator, data_provider, engine="auto"):
+    def __init__(self, simulator, data_provider, engine="vector"):
         self.simulator = simulator
         self.data_provider = data_provider
         self.engine = engine
@@ -220,7 +220,7 @@ class EngineDiscoveryDriver:
         return report
 
 
-def oracle_run(ess, data_provider, qa_selectivities, engine="auto"):
+def oracle_run(ess, data_provider, qa_selectivities, engine="vector"):
     """Execute the oracle's plan (optimal at the true location) fully."""
     coords = ess.grid.snap(qa_selectivities)
     flat = ess.grid.flat_index(coords)
@@ -229,7 +229,7 @@ def oracle_run(ess, data_provider, qa_selectivities, engine="auto"):
                         engine=engine)
 
 
-def native_run(ess, data_provider, qe=None, engine="auto"):
+def native_run(ess, data_provider, qe=None, engine="vector"):
     """Execute the native optimizer's plan (chosen at estimate ``qe``,
     default the ESS origin) fully, whatever the data holds."""
     grid = ess.grid

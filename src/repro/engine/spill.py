@@ -11,15 +11,12 @@ Two interchangeable engines sit behind :func:`execute_plan`: the
 row-at-a-time Volcano interpreter (ground truth) and the columnar
 vector engine of :mod:`repro.engine.vector`, which is charge-equivalent
 to it — identical :class:`~repro.engine.executor.ExecutionOutcome` on
-completed and budget-killed runs alike.  ``engine="auto"`` resolves via
-the ``REPRO_ENGINE`` environment variable (default: vector); whenever
-the vector engine declines an execution it falls back to Volcano, so
-callers never see a behavioral difference.
+completed and budget-killed runs alike.  Vector is the default;
+whenever it declines an execution it falls back to Volcano, so callers
+never see a behavioral difference.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.engine.executor import CostMeter, ExecutionOutcome, OperatorStats
 from repro.engine.iterators import (
@@ -36,7 +33,7 @@ from repro.obs.trace import span as obs_span
 from repro.optimizer import plans as planlib
 
 #: Engine names accepted by :func:`execute_plan`.
-ENGINES = ("auto", "vector", "volcano")
+ENGINES = ("vector", "volcano")
 
 
 def _build_operator(node, query, data_provider, model, meter, stats_sink):
@@ -78,29 +75,8 @@ def _build_operator(node, query, data_provider, model, meter, stats_sink):
     raise ExecutionError(f"unknown join operator {node.op!r}")
 
 
-def resolve_engine(engine):
-    """Resolve an engine selector to a concrete engine name.
-
-    ``"auto"`` (or None) defers to the ``REPRO_ENGINE`` environment
-    variable and defaults to the vector engine; unknown values of the
-    *argument* are an error, unknown values of the environment variable
-    silently mean the default (so a stale env never breaks runs).
-    """
-    if engine is None:
-        engine = "auto"
-    if engine not in ENGINES:
-        raise ExecutionError(
-            f"unknown engine {engine!r} (expected one of {ENGINES})"
-        )
-    if engine == "auto":
-        engine = os.environ.get("REPRO_ENGINE", "vector")
-        if engine not in ("vector", "volcano"):
-            engine = "vector"
-    return engine
-
-
 def execute_plan(plan, query, data_provider, cost_model, budget=None,
-                 spill_epp=None, engine="auto"):
+                 spill_epp=None, engine="vector"):
     """Run a plan over generated data, optionally spilled and budgeted.
 
     Args:
@@ -112,9 +88,8 @@ def execute_plan(plan, query, data_provider, cost_model, budget=None,
         budget: optional cost budget; exceeding it kills the run.
         spill_epp: epp *name* to spill on — the execution then runs only
             the subtree rooted at that epp's node and discards output.
-        engine: ``"auto"`` / ``"vector"`` / ``"volcano"`` — both
-            non-auto engines produce identical outcomes; auto resolves
-            via ``REPRO_ENGINE`` (default vector).
+        engine: ``"vector"`` / ``"volcano"`` — both produce identical
+            outcomes.
 
     Returns:
         :class:`~repro.engine.executor.ExecutionOutcome`; when spilled
@@ -128,14 +103,17 @@ def execute_plan(plan, query, data_provider, cost_model, budget=None,
             raise ExecutionError(
                 f"plan {plan.key} does not apply epp {spill_epp!r}"
             )
-    resolved = resolve_engine(engine)
-    REGISTRY.incr("engine_executions", labels={"engine": resolved})
+    if engine not in ENGINES:
+        raise ExecutionError(
+            f"unknown engine {engine!r} (expected one of {ENGINES})"
+        )
+    REGISTRY.incr("engine_executions", labels={"engine": engine})
     if spill_epp is not None:
         REGISTRY.incr("engine_spill_executions")
-    with obs_span("engine.execute", engine=resolved, plan=plan.key,
+    with obs_span("engine.execute", engine=engine, plan=plan.key,
                   spill_epp=spill_epp or "",
                   budgeted=budget is not None) as exec_span:
-        if resolved == "vector":
+        if engine == "vector":
             from repro.engine import vector
 
             try:

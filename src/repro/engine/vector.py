@@ -54,7 +54,7 @@ whenever the kill point falls inside the built prefix the truncated
 stats are exact.  The cut heuristics use a 1%-plus-constant margin over
 the budget; in the (defensive) case where a truncated stream turns out
 not to contain the kill, or a stream would exceed
-``REPRO_VECTOR_MAX_CHARGES``, the engine raises :class:`VectorFallback`
+:data:`MAX_CHARGES`, the engine raises :class:`VectorFallback`
 and the caller re-runs on the Volcano interpreter — correctness never
 depends on the vector path being taken.
 """
@@ -62,7 +62,6 @@ depends on the vector path being taken.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -75,7 +74,7 @@ from repro.optimizer import plans as planlib
 #: for one execution; streams that would exceed it (quadratic
 #: nested-loop blowups, astronomically large budgets) fall back to the
 #: Volcano interpreter instead of exhausting memory.
-MAX_CHARGES = int(os.environ.get("REPRO_VECTOR_MAX_CHARGES", 1 << 25))
+MAX_CHARGES = 1 << 25
 
 #: Kill-scan chunk: the budget crossing search cumsums the stream in
 #: morsels of this many charges (with an exact scalar carry between
@@ -709,7 +708,7 @@ def execute_vectorized(root, query, data_provider, cost_model, budget=None,
     Raises:
         VectorFallback: when the execution is better served by the
             interpreter — the charge stream would exceed
-            ``REPRO_VECTOR_MAX_CHARGES``, or (defensively) a truncated
+            :data:`MAX_CHARGES`, or (defensively) a truncated
             stream turned out not to contain the budget crossing.
     """
     ctx = _BuildContext(budget)

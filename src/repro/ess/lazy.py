@@ -42,16 +42,14 @@ suite.
 
 Knobs: ``REPRO_ESS=eager|lazy`` selects the default surface for
 ``repro run`` / ``repro check`` / workload builds (see
-:func:`resolve_ess_mode`); the ``--ess`` CLI flag overrides per command.
+:mod:`repro.settings`); the ``--ess`` CLI flag overrides per command.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.errors import ReproError
+from repro import settings
 from repro.ess.contours import ContourSet
 from repro.ess.grid import ESSGrid
 from repro.ess.ocs import ESS
@@ -60,41 +58,15 @@ from repro.obs.trace import span as obs_span
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.optimizer.optimizer import Optimizer
 
-#: Valid surface modes for :func:`resolve_ess_mode`.
-ESS_MODES = ("eager", "lazy")
-
-
-def resolve_ess_mode(mode=None):
-    """Validate an ESS surface mode, defaulting from ``REPRO_ESS``.
-
-    Args:
-        mode: ``"eager"``/``"lazy"`` or None to consult the
-            ``REPRO_ESS`` environment variable (empty → ``"eager"``).
-
-    Raises:
-        ReproError: unknown mode (explicit or from the environment).
-    """
-    source = "--ess"
-    if mode is None:
-        mode = os.environ.get("REPRO_ESS", "").strip() or "eager"
-        source = "REPRO_ESS"
-    mode = str(mode).strip().lower()
-    if mode not in ESS_MODES:
-        raise ReproError(
-            f"invalid ESS mode {mode!r} (from {source}); "
-            f"choose from {', '.join(ESS_MODES)}"
-        )
-    return mode
-
-
 def ess_class(mode):
-    """The surface class implementing a resolved ESS mode."""
-    return LazyESS if resolve_ess_mode(mode) == "lazy" else ESS
+    """The surface class implementing an ESS mode (None: ``REPRO_ESS``)."""
+    return LazyESS if settings.get("REPRO_ESS", mode) == "lazy" else ESS
 
 
 def contour_class(mode):
-    """The contour-set class matching a resolved ESS mode."""
-    return LazyContourSet if resolve_ess_mode(mode) == "lazy" else ContourSet
+    """The contour-set class matching an ESS mode (None: ``REPRO_ESS``)."""
+    return (LazyContourSet if settings.get("REPRO_ESS", mode) == "lazy"
+            else ContourSet)
 
 
 def contours_for(ess, cost_ratio):

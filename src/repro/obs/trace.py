@@ -14,7 +14,8 @@ check.  Enablement paths:
 
 * ``REPRO_TRACE=1`` in the environment installs a process-global
   tracer at import time (``REPRO_TRACE_OUT=<path>`` additionally
-  writes the JSONL trace there at exit via :func:`flush_env_tracer`);
+  writes the JSONL trace there at exit via :func:`flush_env_tracer`) —
+  the one setting of :mod:`repro.settings` read at import;
 * the CLI's ``repro trace`` subcommand and ``--trace-out`` flags
   install one explicitly for the duration of a command;
 * tests install scoped tracers through :func:`install_tracer`.
@@ -45,6 +46,8 @@ import os
 import threading
 import time
 import warnings
+
+from repro import settings
 
 #: Hard cap on retained spans per tracer; beyond it spans are counted
 #: (``tracer.dropped``) but not stored, so a traced exhaustive sweep
@@ -330,13 +333,6 @@ def _count_drop(tracer):
         )
 
 
-def trace_enabled_by_env():
-    """Whether ``REPRO_TRACE`` asks for tracing (default: no)."""
-    return os.environ.get("REPRO_TRACE", "0").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
-
-
 def active_tracer():
     """The installed tracer, or None when tracing is disabled."""
     return _TRACER
@@ -412,14 +408,15 @@ def flush_env_tracer():
     ``REPRO_TRACE=1 REPRO_TRACE_OUT=t.jsonl repro run ...`` works
     without any flag.
     """
-    out = os.environ.get("REPRO_TRACE_OUT", "").strip()
+    out = settings.get("REPRO_TRACE_OUT")
     tracer = _TRACER
-    if not out or tracer is None or not tracer.spans:
+    if (not settings.get("REPRO_TRACE") or not out or tracer is None
+            or not tracer.spans):
         return None
     from repro.obs.export import write_trace_jsonl
 
     return write_trace_jsonl(tracer, out)
 
 
-if trace_enabled_by_env():  # pragma: no cover - exercised via subprocess
+if settings.get("REPRO_TRACE"):  # pragma: no cover - exercised via subprocess
     _TRACER = Tracer()

@@ -14,12 +14,13 @@ counters live in :data:`repro.obs.metrics.REGISTRY`):
   location set and propagate each chunk through the shared state
   machine;
 * :mod:`repro.perf.cache` — persistent content-keyed ESS archive cache
-  (``REPRO_CACHE_DIR`` / ``REPRO_CACHE``), wired into
+  (``REPRO_CACHE_DIR`` / ``REPRO_CACHE``, see :mod:`repro.settings`),
+  wired into
   :func:`repro.bench.workloads.load`.
 """
 
 from repro.perf.batch import batched_suboptimality
-from repro.perf.cache import archive_path, cache_dir, cache_enabled
+from repro.perf.cache import archive_path
 from repro.perf.parallel import (
     SweepSpec,
     fanout_decision,
@@ -32,8 +33,6 @@ __all__ = [
     "SweepSpec",
     "archive_path",
     "batched_suboptimality",
-    "cache_dir",
-    "cache_enabled",
     "fanout_decision",
     "parallel_suboptimality",
     "spec_for",

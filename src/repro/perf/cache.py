@@ -2,7 +2,7 @@
 
 Paper Section 7 flags ESS/contour construction as "a computationally
 intensive task" best amortized offline.  This module is that
-amortization: built ESS surfaces are stored as format-v2
+amortization: built ESS surfaces are stored as format-v3
 :mod:`repro.ess.persistence` archives under a cache directory, keyed by
 the full content of the build — query name, per-dimension grid
 resolution and ``sel_min`` floors, the cost model's value fingerprint,
@@ -10,16 +10,16 @@ and the plan-search space — so a repeated benchmark or test run skips
 the optimizer sweep entirely while any change to the inputs keys a
 fresh build.
 
-Knobs (environment):
+Archives are always format v3: compressed metadata plus uncompressed
+``.npy`` sidecars that loads memory-map, so warm loads page cost arrays
+in on demand instead of decompressing whole grids.
+
+Knobs (environment, resolved by :mod:`repro.settings`):
 
 * ``REPRO_CACHE_DIR`` — cache directory; defaults to
   ``$XDG_CACHE_HOME/repro/ess`` (or ``~/.cache/repro/ess``).
 * ``REPRO_CACHE=0`` — disable the persistent cache entirely (builds
   always run; nothing is written).
-* ``REPRO_CACHE_MMAP=0`` — write self-contained v2 archives instead of
-  the default v3 format (compressed metadata + uncompressed ``.npy``
-  sidecars that loads memory-map, so warm loads page cost arrays in on
-  demand instead of decompressing whole grids).
 
 Before touching disk, :func:`fetch` consults the shared-memory offer
 registry (:mod:`repro.perf.shm`): while a parallel sweep is live, its
@@ -35,6 +35,7 @@ import os
 import tempfile
 import threading
 
+from repro import settings
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 
@@ -52,29 +53,6 @@ _ARCHIVE_SUFFIX = ".ess.npz"
 _IO_LOCK = threading.Lock()
 
 
-def cache_enabled():
-    """Whether the persistent cache is active (``REPRO_CACHE`` != 0)."""
-    return os.environ.get("REPRO_CACHE", "1") not in ("0", "off", "false")
-
-
-def mmap_enabled():
-    """Whether archives are written in the mmap-sidecar v3 format."""
-    return os.environ.get("REPRO_CACHE_MMAP", "1") not in (
-        "0", "off", "false"
-    )
-
-
-def cache_dir():
-    """The active cache directory (not necessarily existing yet)."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return override
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "repro", "ess")
-
-
 def archive_path(key):
     """Archive path for an :func:`~repro.ess.persistence.ess_cache_key`."""
     digest = hashlib.sha256(
@@ -83,7 +61,8 @@ def archive_path(key):
     safe_name = "".join(
         c if c.isalnum() or c in "-_" else "-" for c in key["query_name"]
     )
-    return os.path.join(cache_dir(), f"{safe_name}-{digest}{_ARCHIVE_SUFFIX}")
+    return os.path.join(settings.get("REPRO_CACHE_DIR"),
+                        f"{safe_name}-{digest}{_ARCHIVE_SUFFIX}")
 
 
 def fetch(key, query, cost_model):
@@ -98,7 +77,7 @@ def fetch(key, query, cost_model):
     ess = shm.attach_if_offered(key, query, cost_model)
     if ess is not None:
         return ess
-    if not cache_enabled():
+    if not settings.get("REPRO_CACHE"):
         return None
     path = archive_path(key)
     if not os.path.exists(path):
@@ -137,7 +116,7 @@ def store(ess, key):
     referencing ``.npz`` is renamed in, and no other thread runs
     between the two while the lock is held.
     """
-    if not cache_enabled():
+    if not settings.get("REPRO_CACHE"):
         return None
     from repro.ess.persistence import archive_sidecars, save_ess
 
@@ -149,7 +128,7 @@ def store(ess, key):
         )
         os.close(fd)
         with REGISTRY.phase("ess_cache_save"), _IO_LOCK:
-            save_ess(ess, tmp, cache_key=key, mmap=mmap_enabled(),
+            save_ess(ess, tmp, cache_key=key, mmap=True,
                      sidecar_base=path)
             stale = _sidecars_of(path)
             fresh = set(archive_sidecars(tmp))
@@ -182,7 +161,7 @@ def _sidecars_of(path):
 
 def clear():
     """Remove every archive (and mmap sidecar) in the cache directory."""
-    directory = cache_dir()
+    directory = settings.get("REPRO_CACHE_DIR")
     if not os.path.isdir(directory):
         return 0
     removed = 0

@@ -27,13 +27,14 @@ is recorded in registry counters (``parallel_sweep_skipped`` plus a
 ``parallel_sweep_skip_<reason>`` breakdown) so ``/metrics`` and
 ``repro stats`` report the decision honestly.
 
-Knobs:
+Knobs (resolved by :mod:`repro.settings`):
 
 * ``REPRO_WORKERS`` — worker processes for exhaustive sweeps.  Unset,
   ``0`` or ``1`` keep the serial path; ``auto`` uses the CPU count.
-* ``REPRO_FORCE_PARALLEL`` — ``1`` bypasses the cost guard (benchmark
-  and test harnesses that must exercise the pool machinery regardless
-  of the host).
+* ``REPRO_FORCE_PARALLEL`` — ``1`` bypasses the cost guard; the
+  ``force`` argument of :func:`fanout_decision` and
+  :func:`parallel_suboptimality` overrides it per call (harnesses that
+  must exercise the pool machinery regardless of the host).
 * serial fallback — any worker-side failure (unpicklable spec, missing
   archive, pool start failure) silently falls back to the serial sweep.
 """
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import settings
 from repro.obs import trace as tracing
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
@@ -64,28 +66,13 @@ CHUNKS_PER_WORKER = 4
 
 def worker_count(explicit=None):
     """Resolve the worker count (explicit arg beats ``REPRO_WORKERS``)."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("REPRO_WORKERS", "").strip().lower()
-    if not raw or raw == "0":
-        return 1
-    if raw == "auto":
-        return max(1, os.cpu_count() or 1)
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be an integer or 'auto', got {raw!r}"
-        ) from None
+    workers = settings.get("REPRO_WORKERS", explicit)
+    if workers == "auto":
+        workers = os.cpu_count() or 1
+    return max(1, workers)
 
 
-def force_parallel():
-    """Whether ``REPRO_FORCE_PARALLEL`` bypasses the fan-out cost guard."""
-    raw = os.environ.get("REPRO_FORCE_PARALLEL", "").strip().lower()
-    return raw in ("1", "true", "on", "yes")
-
-
-def fanout_decision(num_points, workers, cpus=None):
+def fanout_decision(num_points, workers, cpus=None, force=None):
     """The fan-out cost guard: can a multiprocess sweep win here?
 
     Returns ``(effective_workers, skip_reason)``: a worker count > 1
@@ -94,13 +81,14 @@ def fanout_decision(num_points, workers, cpus=None):
     one worker was requested (``"one_worker"``), the host exposes a
     single CPU (``"single_cpu"``), the sweep is too small overall
     (``"small_sweep"``), or the per-worker share is below amortization
-    (``"below_amortization"``).  ``REPRO_FORCE_PARALLEL=1`` bypasses
-    everything but the worker-count floor.
+    (``"below_amortization"``).  ``force`` (None: the
+    ``REPRO_FORCE_PARALLEL`` setting) bypasses everything but the
+    worker-count floor.
     """
     workers = min(int(workers), max(1, int(num_points)))
     if workers <= 1:
         return 1, "one_worker"
-    if force_parallel():
+    if settings.get("REPRO_FORCE_PARALLEL", force):
         return workers, None
     if cpus is None:
         cpus = os.cpu_count() or 1
@@ -308,7 +296,7 @@ def _evaluate_chunk(task):
 # Parent side
 # ----------------------------------------------------------------------
 
-def parallel_suboptimality(spec, flats, workers, ess=None):
+def parallel_suboptimality(spec, flats, workers, ess=None, force=None):
     """Fan a sweep across ``workers`` processes.
 
     When the caller hands over its live ``ess`` (and the surface's
@@ -317,12 +305,14 @@ def parallel_suboptimality(spec, flats, workers, ess=None):
     through the cache's shm tier instead of rebuilding or re-reading
     grids per process (:mod:`repro.perf.shm`).
 
+    ``force`` is :func:`fanout_decision`'s cost-guard bypass.
+
     Returns the ``(len(flats),)`` sub-optimality array in input order,
     or None when the parallel path is unavailable (caller falls back to
     the serial loop).
     """
     flats = np.asarray(flats, dtype=np.int64)
-    workers, skip = fanout_decision(len(flats), workers)
+    workers, skip = fanout_decision(len(flats), workers, force=force)
     if skip is not None:
         REGISTRY.incr("parallel_sweep_skipped")
         REGISTRY.incr(f"parallel_sweep_skip_{skip}")

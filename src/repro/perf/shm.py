@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
 
@@ -47,7 +46,7 @@ _OFFERS = {}
 #: Bounds long-lived pool workers, which otherwise accumulate an offer
 #: — grid values, plan keys and all — for every surface they ever
 #: served, long after the server evicted the segments themselves.
-_OFFER_LIMIT = int(os.environ.get("REPRO_SHM_OFFER_LIMIT", "32"))
+_OFFER_LIMIT = 32
 
 
 @contextmanager
@@ -334,7 +333,7 @@ def register_offer(offer):
     A registered offer whose segments were since unlinked simply fails
     to attach and the cache falls through — no cleanup protocol needed.
 
-    The registry is bounded (``REPRO_SHM_OFFER_LIMIT``): beyond the
+    The registry is bounded (:data:`_OFFER_LIMIT`): beyond the
     limit the least-recently-registered *transferred* offers are
     forgotten — dropping a registry entry never touches the segments,
     whose lifetime belongs to the offer's owner (the serving tier).
@@ -342,7 +341,7 @@ def register_offer(offer):
     digest = _digest(offer["key"])
     _OFFERS.pop(digest, None)  # re-registration refreshes recency
     _OFFERS[digest] = offer
-    while len(_OFFERS) > max(1, _OFFER_LIMIT):
+    while len(_OFFERS) > _OFFER_LIMIT:
         oldest = next(iter(_OFFERS))
         if oldest == digest:
             break

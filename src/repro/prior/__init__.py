@@ -40,10 +40,11 @@ import zlib
 
 import numpy as np
 
+from repro import settings
 from repro.errors import ReproError
 
-#: Prior kinds the CLI / serving tier accept.
-PRIOR_KINDS = ("uniform", "sampled", "history")
+#: Prior kinds the CLI / serving tier accept (``REPRO_PRIOR``'s choices).
+PRIOR_KINDS = settings.SETTINGS["REPRO_PRIOR"].choices
 
 #: Default mass quantile locating the starting contour.
 DEFAULT_QUANTILE = 0.5
@@ -258,12 +259,8 @@ class HistoryStore:
     @staticmethod
     def default_path():
         """``REPRO_PRIOR_STORE``, else a file beside the ESS archives."""
-        path = os.environ.get("REPRO_PRIOR_STORE", "").strip()
-        if not path:
-            from repro.perf.cache import cache_dir
-
-            path = os.path.join(cache_dir(), "prior_history.jsonl")
-        return path
+        return settings.get("REPRO_PRIOR_STORE") or os.path.join(
+            settings.get("REPRO_CACHE_DIR"), "prior_history.jsonl")
 
     def record(self, key, selectivities):
         """Append one observed selectivity vector.

@@ -17,10 +17,10 @@ Two in-process pieces, both fed by the request tail in
 * :class:`AuditLog` — a structured slow-request JSONL log.  A request
   is written when its total latency crosses ``threshold_s`` *or* when
   it falls on the ``every``-th sample (``every=0`` disables sampling,
-  keeping only slow requests).  Knobs ride in ``REPRO_SERVE_AUDIT``
-  (path), ``REPRO_SERVE_AUDIT_THRESHOLD_S`` and
-  ``REPRO_SERVE_AUDIT_SAMPLE`` — see ``docs/observability.md`` for the
-  record schema.
+  keeping only slow requests).  The server configures it from
+  ``--audit`` / ``REPRO_SERVE_AUDIT`` and friends (see
+  :class:`repro.serve.server.ServeConfig`); ``docs/observability.md``
+  has the record schema.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ class AuditLog:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-
-    @classmethod
-    def from_env(cls):
-        """An :class:`AuditLog` from ``REPRO_SERVE_AUDIT*``, or None."""
-        path = os.environ.get("REPRO_SERVE_AUDIT", "").strip()
-        if not path:
-            return None
-        return cls(
-            path,
-            threshold_s=float(
-                os.environ.get("REPRO_SERVE_AUDIT_THRESHOLD_S", "1.0")
-            ),
-            every=int(os.environ.get("REPRO_SERVE_AUDIT_SAMPLE", "0")),
-        )
 
     def maybe_record(self, record):
         """Write ``record`` if it qualifies; returns True when written.

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.errors import ReproError
 
 #: Discovery algorithms a request may name.  ``native`` is run-only
@@ -47,11 +48,11 @@ KIND_CHOICES = ("run", "evaluate")
 EVALUATE_ENGINES = ("auto", "batch", "loop", "parallel")
 
 #: ESS surface modes (``None`` defers to the server default / REPRO_ESS).
-ESS_MODES = (None, "eager", "lazy")
+ESS_MODES = (None, *settings.SETTINGS["REPRO_ESS"].choices)
 
 #: Selectivity priors guiding contour scheduling (``None`` defers to
 #: the server default / REPRO_PRIOR).
-PRIOR_MODES = (None, "uniform", "sampled", "history")
+PRIOR_MODES = (None, *settings.SETTINGS["REPRO_PRIOR"].choices)
 
 #: Ceiling on the synthetic per-request service time (load shaping).
 MAX_SLEEP_S = 30.0

@@ -36,6 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from repro import settings
 from repro.errors import QueryError, ReproError
 from repro.obs.export import prometheus_text, write_trace_jsonl
 from repro.obs.metrics import REGISTRY
@@ -43,7 +44,7 @@ from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.serve import protocol, worker
 from repro.serve.dashboard import AuditLog, DashboardState, \
     render_dashboard_html
-from repro.serve.surfaces import DEFAULT_CACHE_MB, SurfaceTier
+from repro.serve.surfaces import SurfaceTier
 
 #: Histogram buckets for request-latency phases (seconds).
 LATENCY_BUCKETS = (
@@ -60,44 +61,32 @@ FINGERPRINT_MEMO_LIMIT = 1024
 TRACE_FLUSH_S = 0.25
 
 
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ReproError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
-
-
-def _env_float(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ReproError(
-            f"{name} must be a number, got {value!r}"
-        ) from None
+#: ServeConfig fields that are settings of :mod:`repro.settings`.
+_SETTING_FIELDS = {
+    "workers": "REPRO_SERVE_WORKERS",
+    "queue_limit": "REPRO_SERVE_QUEUE",
+    "tenant_quota": "REPRO_SERVE_QUOTA",
+    "cache_mb": "REPRO_SERVE_CACHE_MB",
+    "profile": "REPRO_PROFILE",
+    "ess_mode": "REPRO_ESS",
+    "prior": "REPRO_PRIOR",
+    "trace_every": "REPRO_SERVE_TRACE",
+    "trace_dir": "REPRO_SERVE_TRACE_DIR",
+    "audit_path": "REPRO_SERVE_AUDIT",
+    "audit_threshold_s": "REPRO_SERVE_AUDIT_THRESHOLD_S",
+    "audit_every": "REPRO_SERVE_AUDIT_SAMPLE",
+}
 
 
 @dataclass
 class ServeConfig:
     """Server knobs (constructor args override the environment).
 
-    Environment variables: ``REPRO_SERVE_WORKERS`` (pool size),
-    ``REPRO_SERVE_QUEUE`` (admitted-but-not-running ceiling),
-    ``REPRO_SERVE_QUOTA`` (per-tenant in-flight ceiling),
-    ``REPRO_SERVE_CACHE_MB`` (surface-tier resident bytes),
-    ``REPRO_SERVE_TRACE`` (trace every Nth request; 0 = off, per-request
-    ``trace`` field overrides), ``REPRO_SERVE_TRACE_DIR`` (write each
-    traced request's merged multi-process trace as
-    ``trace-<trace_id>.jsonl`` under this directory),
-    ``REPRO_SERVE_AUDIT`` / ``REPRO_SERVE_AUDIT_THRESHOLD_S`` /
-    ``REPRO_SERVE_AUDIT_SAMPLE`` (slow-request JSONL audit log).
+    Every field named in :data:`_SETTING_FIELDS` is a setting; its
+    variable, floor and default are in :mod:`repro.settings`.  Traced
+    requests (``trace_every``, ``trace_dir``) write their merged
+    multi-process trace as ``trace-<trace_id>.jsonl``; the audit fields
+    configure the slow-request JSONL log.
     """
 
     host: str = "127.0.0.1"
@@ -119,51 +108,17 @@ class ServeConfig:
 
     @classmethod
     def from_env(cls, **overrides):
-        config = cls(**{k: v for k, v in overrides.items() if v is not None})
-        if config.prior is None:
-            raw = os.environ.get("REPRO_PRIOR", "").strip().lower()
-            config = replace(config, prior=raw or "uniform")
-        from repro.prior import PRIOR_KINDS
+        """A config from ``overrides`` (None = not given), each setting
+        field resolved flag-then-environment-then-default.
 
-        if config.prior not in PRIOR_KINDS:
-            raise ReproError(
-                f"invalid serve prior {config.prior!r}; "
-                f"choose from {', '.join(PRIOR_KINDS)}"
-            )
-        if config.workers is None:
-            config = replace(config, workers=_env_int(
-                "REPRO_SERVE_WORKERS", min(4, os.cpu_count() or 1) or 1))
-        if config.queue_limit is None:
-            config = replace(config, queue_limit=_env_int(
-                "REPRO_SERVE_QUEUE", 64))
-        if config.tenant_quota is None:
-            config = replace(config, tenant_quota=_env_int(
-                "REPRO_SERVE_QUOTA", 16))
-        if config.cache_mb is None:
-            config = replace(config, cache_mb=_env_int(
-                "REPRO_SERVE_CACHE_MB", DEFAULT_CACHE_MB))
-        if config.trace_every is None:
-            config = replace(config, trace_every=_env_int(
-                "REPRO_SERVE_TRACE", 0))
-        if config.trace_dir is None:
-            raw = os.environ.get("REPRO_SERVE_TRACE_DIR", "").strip()
-            config = replace(config, trace_dir=raw or None)
-        if config.audit_path is None:
-            raw = os.environ.get("REPRO_SERVE_AUDIT", "").strip()
-            config = replace(config, audit_path=raw or None)
-        if config.audit_threshold_s is None:
-            config = replace(config, audit_threshold_s=_env_float(
-                "REPRO_SERVE_AUDIT_THRESHOLD_S", 1.0))
-        if config.audit_every is None:
-            config = replace(config, audit_every=_env_int(
-                "REPRO_SERVE_AUDIT_SAMPLE", 0))
-        if config.workers < 1:
-            raise ReproError("serve workers must be >= 1")
-        if config.queue_limit < 1 or config.tenant_quota < 1:
-            raise ReproError("serve queue and quota must be >= 1")
-        if config.trace_every < 0 or config.audit_every < 0:
-            raise ReproError("serve trace/audit sampling must be >= 0")
-        return config
+        Raises:
+            ReproError: a value is malformed or below its floor.
+        """
+        config = cls(**{k: v for k, v in overrides.items() if v is not None})
+        return replace(config, **{
+            field: settings.get(name, getattr(config, field))
+            for field, name in _SETTING_FIELDS.items()
+        })
 
 
 class _RequestState:
@@ -647,7 +602,8 @@ class DiscoveryServer:
                     else NOOP_SPAN)
 
         loop = asyncio.get_running_loop()
-        ess_mode = self._resolve_ess_mode(request)
+        ess_mode = settings.get("REPRO_ESS",
+                                request.ess_mode or self.config.ess_mode)
         prior = request.prior or self.config.prior or "uniform"
         base = {
             "query": request.query, "algorithm": request.algorithm,
@@ -770,11 +726,6 @@ class DiscoveryServer:
         return (400 if outcome == "invalid" else 500), response
 
     # -- surface plumbing ----------------------------------------------
-
-    def _resolve_ess_mode(self, request):
-        from repro.ess.lazy import resolve_ess_mode
-
-        return resolve_ess_mode(request.ess_mode or self.config.ess_mode)
 
     async def _surface_of(self, request):
         """``(fingerprint, num_points)`` of the request's surface.

@@ -36,11 +36,12 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 
+from repro import settings
 from repro.obs.metrics import REGISTRY
 from repro.perf import shm
 
 #: Default resident-bytes budget for the tier (``REPRO_SERVE_CACHE_MB``).
-DEFAULT_CACHE_MB = 256
+DEFAULT_CACHE_MB = settings.SETTINGS["REPRO_SERVE_CACHE_MB"].default
 
 
 class _Entry:

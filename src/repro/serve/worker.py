@@ -17,7 +17,7 @@ runs unchanged in between checkpoints.
 
 Resident state: a worker keeps the workload instances it has loaded
 (:func:`repro.bench.workloads.load`'s memo, bounded by
-``REPRO_SERVE_WORKER_MEMO``) and, hanging off each instance, the
+:data:`MEMO_LIMIT`) and, hanging off each instance, the
 algorithm objects its scalar runs use (:func:`_acquire_algorithm`) —
 the compile-time half of the paper's compile-time/run-time split, paid
 once per surface per worker rather than once per request.
@@ -54,7 +54,7 @@ from repro.prior import HistoryStore, history_key, make_prior
 #: Worker-side workload memo bound: above this many cached instances
 #: the registry is dropped wholesale, keeping long-lived workers from
 #: accumulating every surface they ever touched.
-MEMO_LIMIT = int(os.environ.get("REPRO_SERVE_WORKER_MEMO", "32"))
+MEMO_LIMIT = 32
 
 #: Poll interval of the cooperative-cancellation checkpoints inside
 #: synthetic service time.

@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.engine import spill, vector
 from repro.engine.executor import CostMeter
-from repro.engine.spill import ENGINES, resolve_engine
+from repro.engine.spill import ENGINES
 from repro.errors import ExecutionError
 from repro.optimizer import plans as planlib
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL as MODEL
@@ -108,29 +108,28 @@ def merge_join_plan(query):
 
 
 class TestEngineSelector:
-    def test_explicit_engines_resolve_to_themselves(self):
-        assert resolve_engine("vector") == "vector"
-        assert resolve_engine("volcano") == "volcano"
+    def test_explicit_engines_resolve_to_themselves(self, setup):
+        """Each name runs its own engine; the default is vector."""
+        from repro.obs.metrics import REGISTRY
 
-    def test_auto_defaults_to_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine("auto") == "vector"
-        assert resolve_engine(None) == "vector"
+        query, gen, ess = setup
+        cases = [({}, "vector"), ({"engine": "vector"}, "vector"),
+                 ({"engine": "volcano"}, "volcano")]
+        for kwargs, engine in cases:
+            labels = {"engine": engine}
+            before = REGISTRY.counter("engine_executions", labels=labels)
+            execute_plan(ess.plans[0], query, gen, MODEL, **kwargs)
+            assert REGISTRY.counter("engine_executions",
+                                    labels=labels) == before + 1
 
-    def test_auto_honors_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "volcano")
-        assert resolve_engine("auto") == "volcano"
-
-    def test_stale_environment_value_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-        assert resolve_engine("auto") == "vector"
-
-    def test_unknown_argument_is_an_error(self):
-        with pytest.raises(ExecutionError):
-            resolve_engine("warp-drive")
+    def test_unknown_argument_is_an_error(self, setup):
+        query, gen, ess = setup
+        for engine in ("warp-drive", "auto", None):
+            with pytest.raises(ExecutionError):
+                execute_plan(ess.plans[0], query, gen, MODEL, engine=engine)
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "vector", "volcano")
+        assert ENGINES == ("vector", "volcano")
 
 
 class TestBudgetBoundaries:

@@ -10,18 +10,16 @@ identity is always checked through plan *keys*.
 import numpy as np
 import pytest
 
-from repro import ContourSet, ESSGrid, PlanBouquet, SpillBound
+from repro import ContourSet, ESSGrid, PlanBouquet, SpillBound, settings
 from repro.core.aligned_bound import AlignedBound
 from repro.core.mso import evaluate_algorithm
 from repro.errors import ReproError
 from repro.ess.lazy import (
-    ESS_MODES,
     LazyContourSet,
     LazyESS,
     contour_class,
     contours_for,
     ess_class,
-    resolve_ess_mode,
 )
 from repro.ess.ocs import ESS
 from tests.conftest import fuzz_seeds, make_star_query
@@ -67,33 +65,33 @@ def contour_pair(pair):
 class TestModeResolution:
     def test_default_is_eager(self, monkeypatch):
         monkeypatch.delenv("REPRO_ESS", raising=False)
-        assert resolve_ess_mode() == "eager"
-        assert resolve_ess_mode(None) == "eager"
+        assert settings.get("REPRO_ESS") == "eager"
+        assert settings.get("REPRO_ESS", None) == "eager"
 
     def test_explicit_modes(self):
-        assert resolve_ess_mode("eager") == "eager"
-        assert resolve_ess_mode("lazy") == "lazy"
-        assert resolve_ess_mode(" LAZY ") == "lazy"
+        assert settings.get("REPRO_ESS", "eager") == "eager"
+        assert settings.get("REPRO_ESS", "lazy") == "lazy"
+        assert settings.get("REPRO_ESS", " LAZY ") == "lazy"
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ESS", "lazy")
-        assert resolve_ess_mode() == "lazy"
+        assert settings.get("REPRO_ESS") == "lazy"
 
     def test_bad_explicit_mode(self):
         with pytest.raises(ReproError, match=r"--ess"):
-            resolve_ess_mode("greedy")
+            settings.get("REPRO_ESS", "greedy")
 
     def test_bad_env_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_ESS", "greedy")
         with pytest.raises(ReproError, match="REPRO_ESS"):
-            resolve_ess_mode()
+            settings.get("REPRO_ESS")
 
     def test_class_selectors(self):
         assert ess_class("eager") is ESS
         assert ess_class("lazy") is LazyESS
         assert contour_class("eager") is ContourSet
         assert contour_class("lazy") is LazyContourSet
-        assert set(ESS_MODES) == {"eager", "lazy"}
+        assert settings.SETTINGS["REPRO_ESS"].choices == ("eager", "lazy")
 
 
 class TestBitIdentity:

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.core.mso import evaluate_algorithm
 from repro.obs import trace
 from repro.obs.export import read_trace_jsonl, write_trace_jsonl
@@ -132,12 +133,12 @@ class TestDisabledPath:
 
     def test_env_gate_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert not trace.trace_enabled_by_env()
+        assert not settings.get("REPRO_TRACE")
         for value in ("1", "true", "ON", "yes"):
             monkeypatch.setenv("REPRO_TRACE", value)
-            assert trace.trace_enabled_by_env()
+            assert settings.get("REPRO_TRACE")
         monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not trace.trace_enabled_by_env()
+        assert not settings.get("REPRO_TRACE")
 
 
 class TestJsonlRoundTrip:

@@ -380,15 +380,21 @@ class TestAuditLog:
         assert all(r["slow"] is False for r in records)
 
     def test_from_env(self, tmp_path, monkeypatch):
+        """The server's audit log is configured by ``ServeConfig``."""
+        from repro.serve.server import DiscoveryServer
+
         monkeypatch.delenv("REPRO_SERVE_AUDIT", raising=False)
-        assert AuditLog.from_env() is None
+        assert DiscoveryServer(ServeConfig.from_env()).audit is None
         monkeypatch.setenv("REPRO_SERVE_AUDIT",
                            str(tmp_path / "a.jsonl"))
         monkeypatch.setenv("REPRO_SERVE_AUDIT_THRESHOLD_S", "0.25")
         monkeypatch.setenv("REPRO_SERVE_AUDIT_SAMPLE", "5")
-        log = AuditLog.from_env()
+        log = DiscoveryServer(ServeConfig.from_env()).audit
+        assert log.path == str(tmp_path / "a.jsonl")
         assert log.threshold_s == 0.25
         assert log.every == 5
+        config = ServeConfig.from_env(audit_threshold_s=2.0, audit_every=0)
+        assert (config.audit_threshold_s, config.audit_every) == (2.0, 0)
 
 
 # ----------------------------------------------------------------------

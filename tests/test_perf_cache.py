@@ -109,10 +109,12 @@ class TestPersistentCache:
             assert other != path
 
     def test_cache_disable_knob(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        workloads.load("2D_Q91", profile="smoke")
-        assert not os.path.isdir(str(isolated_cache))
-        assert REGISTRY.counter("ess_cache_store") == 0
+        for off in ("0", "OFF"):
+            monkeypatch.setenv("REPRO_CACHE", off)
+            workloads.clear_cache()
+            workloads.load("2D_Q91", profile="smoke")
+            assert not os.path.isdir(str(isolated_cache))
+            assert REGISTRY.counter("ess_cache_store") == 0
 
     def test_corrupt_archive_treated_as_miss(self, isolated_cache):
         workloads.load("2D_Q91", profile="smoke")

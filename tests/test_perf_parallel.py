@@ -6,6 +6,7 @@ import pytest
 from repro.bench import workloads
 from repro.core.mso import evaluate_algorithm
 from repro.core.spill_bound import SpillBound
+from repro.errors import ReproError
 from repro.perf import parallel as par
 
 
@@ -35,7 +36,7 @@ class TestWorkerCount:
 
     def test_env_garbage_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "banana")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        with pytest.raises(ReproError, match="REPRO_WORKERS"):
             par.worker_count()
 
 

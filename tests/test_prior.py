@@ -3,8 +3,9 @@
 Covers the prior classes themselves (pmf shape/normalization, spec
 round trips, the history store), the :class:`PriorSchedule` decisions
 (band clamp, quantile targeting, ordering stability), the two new
-conformance invariants, the CLI's source-attributing choice resolver,
-and the serving protocol's ``prior`` field.
+conformance invariants, source attribution of ``--prior`` /
+``REPRO_PRIOR`` through :mod:`repro.settings`, and the serving
+protocol's ``prior`` field.
 """
 
 import json
@@ -13,7 +14,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.cli import main, resolve_choice
+from repro import settings
+from repro.cli import main
 from repro.conformance.monitors import ConformanceMonitor
 from repro.conformance.workloads import build_conformance_instance
 from repro.core.plan_bouquet import PlanBouquet
@@ -251,32 +253,25 @@ def test_monitor_ladder_start_fires_below_schedule(instance):
 
 
 # ----------------------------------------------------------------------
-# CLI choice resolution (flag vs env attribution)
+# Prior choice resolution (flag vs env attribution, repro.settings)
 # ----------------------------------------------------------------------
 
 
 def test_resolve_choice_flag_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_PRIOR", "history")
-    assert resolve_choice("sampled", "--prior", "REPRO_PRIOR",
-                          ("uniform", "sampled", "history"),
-                          default="uniform") == "sampled"
+    assert settings.get("REPRO_PRIOR", "sampled") == "sampled"
 
 
 def test_resolve_choice_env_fallback_and_default(monkeypatch):
     monkeypatch.setenv("REPRO_PRIOR", "history")
-    assert resolve_choice(None, "--prior", "REPRO_PRIOR",
-                          ("uniform", "sampled", "history"),
-                          default="uniform") == "history"
+    assert settings.get("REPRO_PRIOR") == "history"
     monkeypatch.delenv("REPRO_PRIOR")
-    assert resolve_choice(None, "--prior", "REPRO_PRIOR",
-                          ("uniform", "sampled", "history"),
-                          default="uniform") == "uniform"
+    assert settings.get("REPRO_PRIOR") == "uniform"
 
 
 def test_resolve_choice_names_flag_source():
     with pytest.raises(ReproError) as err:
-        resolve_choice("bogus", "--prior", "REPRO_PRIOR",
-                       ("uniform", "sampled", "history"), what="prior")
+        settings.get("REPRO_PRIOR", "bogus")
     assert "from --prior" in str(err.value)
     assert "bogus" in str(err.value)
 
@@ -284,8 +279,7 @@ def test_resolve_choice_names_flag_source():
 def test_resolve_choice_names_env_source(monkeypatch):
     monkeypatch.setenv("REPRO_PRIOR", "bogus")
     with pytest.raises(ReproError) as err:
-        resolve_choice(None, "--prior", "REPRO_PRIOR",
-                       ("uniform", "sampled", "history"), what="prior")
+        settings.get("REPRO_PRIOR")
     assert "from REPRO_PRIOR" in str(err.value)
 
 
@@ -300,13 +294,6 @@ def test_cli_rejects_bad_prior_env(monkeypatch, capsys):
     assert main(["run", "2D_Q91"]) == 2
     err = capsys.readouterr().err
     assert "from REPRO_PRIOR" in err
-
-
-def test_cli_rejects_bad_engine_env(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-    assert main(["wallclock", "--rows", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "from REPRO_ENGINE" in err
 
 
 def test_cli_rejects_bad_ess_env(monkeypatch, capsys):

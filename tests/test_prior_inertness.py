@@ -7,8 +7,6 @@ the prior ride inside the default constructors without a conformance
 cost: scheduling only ever changes when a prior has actual mass.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -32,11 +30,7 @@ def _forced_parallel(algorithm):
     spec = spec_for(algorithm)
     assert spec is not None
     flats = list(range(algorithm.ess.grid.num_points))
-    os.environ["REPRO_FORCE_PARALLEL"] = "1"
-    try:
-        return parallel_suboptimality(spec, flats, 2)
-    finally:
-        os.environ.pop("REPRO_FORCE_PARALLEL", None)
+    return parallel_suboptimality(spec, flats, 2, force=True)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -660,6 +660,25 @@ class TestServeCli:
         assert args.command == "loadgen"
         assert args.requests == 8
 
+    def test_negative_cache_budget_rejected_naming_its_source(
+            self, monkeypatch, capsys):
+        """The tier budget has a floor like every other numeric knob:
+        the library and the CLI both refuse it before anything boots."""
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="from --cache-mb"):
+            ServeConfig.from_env(cache_mb=-3)
+        monkeypatch.setenv("REPRO_SERVE_CACHE_MB", "-3")
+        with pytest.raises(ReproError, match="from REPRO_SERVE_CACHE_MB"):
+            ServeConfig.from_env()
+        assert main(["serve", "--port", "0"]) == 2
+        assert "from REPRO_SERVE_CACHE_MB" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_SERVE_CACHE_MB")
+        assert main(["serve", "--port", "0", "--cache-mb", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "from --cache-mb" in err
+
 
 class TestPriorServing:
     def test_prior_request_ok_and_history_recorded(self, serve_env,

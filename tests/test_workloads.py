@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QueryError, build_query, q1a, suite_names
+from repro import QueryError, ReproError, build_query, q1a, suite_names
 from repro.bench import workloads
 from repro.catalog.tpcds import EPP_SELECTIONS, QUERY_BUILDERS
 
@@ -105,8 +105,10 @@ class TestRegistry:
 
     def test_unknown_profile_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "bogus")
-        with pytest.raises(QueryError):
-            workloads.active_profile()
+        with pytest.raises(ReproError, match="from REPRO_PROFILE"):
+            workloads.load("2D_Q91")
+        with pytest.raises(ReproError, match="from --profile"):
+            workloads.load("2D_Q91", profile="bogus")
 
     def test_profiles_table_complete(self):
         for profile in workloads.RESOLUTION_PROFILES.values():
