@@ -26,7 +26,7 @@ location.  SpillBound and AlignedBound land on MSO = D precisely
 registered with the conformance workload registry
 (``family="adversarial"`` in
 :func:`repro.conformance.workloads.build_conformance_instance`) so the
-monitors and parallel workers treat it like any other workload.
+monitors and sweep engines treat it like any other workload.
 """
 
 from __future__ import annotations
@@ -150,16 +150,12 @@ def adversarial_knobs(seed):
 
 
 def build_adversarial_instance(seed=0, num_dims=None, resolution=None,
-                               scale=None, **_ignored):
+                               scale=None):
     """Build the seeded Theorem 4.6 instance.
 
     Explicit ``num_dims``/``resolution``/``scale`` override the
-    seed-derived knobs — the parallel-sweep workers pass resolved
-    values back through the provenance, so a worker rebuild is
-    knob-for-knob (and bit-for-bit) identical.  Extra keyword
-    arguments from the shared conformance-builder signature
-    (``cost_ratio``, ``ess_mode``, ...) are accepted and ignored: the
-    synthetic surface is always eager and single-contour.
+    seed-derived knobs.  The synthetic surface is always eager and
+    single-contour.
     """
     seed = int(seed)
     auto_dims, auto_res, auto_scale = adversarial_knobs(seed)
@@ -171,17 +167,6 @@ def build_adversarial_instance(seed=0, num_dims=None, resolution=None,
         name=f"ADV_D{num_dims}_R{resolution}_S{seed}",
     )
     contours = ContourSet(ess, cost_ratio=2.0)
-    ess.provenance = {
-        "kind": "adversarial",
-        "build_kwargs": {
-            "seed": seed,
-            "num_dims": num_dims,
-            "resolution": resolution,
-            "scale": scale,
-        },
-        "cost_ratio": contours.cost_ratio,
-        "disk_key": None,
-    }
     return ConformanceInstance(
         seed=seed,
         query=ess.query,

@@ -8,9 +8,8 @@ precision) an additive offset in grid-index space; a profile is
 therefore a distribution over per-dimension index offsets around
 ``qe``, discretized onto the grid.
 
-The profile is deliberately tiny and picklable: the multiprocess sweep
-engine ships it across the process boundary inside a
-:class:`~repro.perf.parallel.SweepSpec`, and the metamorphic tests in
+The profile is deliberately tiny: its :meth:`ErrorProfile.spec` tuple
+is what the arena report and CLI print, and the metamorphic tests in
 ``tests/test_arena.py`` rely on the degenerate (zero-error) profile
 collapsing every rival to the plain optimizer's choice at ``qe``.
 """

@@ -40,7 +40,6 @@ from repro.core.discovery import (
     normalize_location,
 )
 from repro.perf.batch import register_batch_engine
-from repro.perf.parallel import register_algorithm_factory
 
 
 class FixedPlanRival:
@@ -49,9 +48,8 @@ class FixedPlanRival:
     Args:
         ess: the built ESS (eager or lazy).
         contour_set: optional contours — unused by the strategy itself,
-            but carried so the parallel sweep engine's spec derivation
-            (which validates contours against build provenance) covers
-            rivals exactly like the stock algorithms.
+            but carried so rivals expose the same ``ess`` / ``contours``
+            pair as the stock algorithms.
         profile: an :class:`~repro.arena.profiles.ErrorProfile`, its
             ``spec()`` tuple, or None for the arena default.
         estimate: the estimate ``qe`` (flat index, coords tuple, or
@@ -117,13 +115,6 @@ class FixedPlanRival:
             / np.asarray(self.ess.optimal_cost, dtype=float)
         )
 
-    def spec_kwargs(self):
-        """Constructor kwargs for the parallel engine's worker rebuild."""
-        return {
-            "profile": self.profile.spec(),
-            "estimate": tuple(int(c) for c in self._qe_coords),
-        }
-
     def __repr__(self):
         return (f"{type(self).__name__}(qe={self._qe_coords}, "
                 f"profile={self.profile.spec()})")
@@ -174,13 +165,12 @@ def _sweep_fixed_plan(algorithm, flats):
     return total
 
 
-#: Factory names the parallel sweep engine (and the arena report) use.
+#: Lineup names the arena report resolves rivals by.
 RIVAL_FACTORIES = {
     "penalty": PenaltyAwareSelector,
     "regret": MinmaxRegretSelector,
     "sampling": ProbabilisticSelector,
 }
 
-for _name, _cls in RIVAL_FACTORIES.items():
-    register_algorithm_factory(_name, _cls)
+for _cls in RIVAL_FACTORIES.values():
     register_batch_engine(_cls, _sweep_fixed_plan)

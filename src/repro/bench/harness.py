@@ -65,9 +65,9 @@ def algorithm_profiles(name, with_eval=("pb", "sb", "ab"), profile=None):
             ab=AlignedBound(instance.ess, instance.contours),
         )
         _PROFILE_CACHE[key] = prof
-    # The exhaustive sweeps parallelize across processes when
-    # REPRO_WORKERS > 1 (see repro.perf.parallel); each one reports its
-    # wall time as a registry phase either way.
+    # The exhaustive sweeps run engine="auto", i.e. the batch engine,
+    # whatever REPRO_WORKERS says; each reports its wall time as a
+    # registry phase.
     if "pb" in with_eval and prof.pb_eval is None:
         with REGISTRY.phase("sweep_pb"):
             prof.pb_eval = evaluate_algorithm(prof.pb)

@@ -152,18 +152,6 @@ def build_wallclock_setup(row_budget=40_000, seed=11, resolution=10):
         ess = ESS.build(query, grid)
     with REGISTRY.phase("contour_build"):
         contours = ContourSet(ess)
-    # The whole setup is deterministic in (row_budget, seed, resolution),
-    # so sweep workers can rebuild it from these kwargs — this is what
-    # lets evaluate_algorithm parallelize over wallclock-built ESSs.
-    ess.provenance = {
-        "kind": "wallclock",
-        "build_kwargs": {
-            "row_budget": row_budget,
-            "seed": seed,
-            "resolution": resolution,
-        },
-        "cost_ratio": contours.cost_ratio,
-    }
     return WallclockSetup(
         schema=schema, query=query, generator=generator, ess=ess,
         contours=contours,

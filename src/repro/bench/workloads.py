@@ -162,24 +162,10 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
             ess_cache.store(ess, disk_key)
     with REGISTRY.phase("contour_build"):
         contours = contours_for(ess, cost_ratio)
-    # Build provenance lets the parallel-sweep engine rebuild this exact
-    # ESS inside worker processes (through this very function, hence
-    # through the persistent archive) instead of pickling plan trees;
-    # the disk_key additionally lets the engine offer this surface to
-    # workers over shared memory (repro.perf.shm).
-    ess.provenance = {
-        "kind": "workload",
-        "build_kwargs": {
-            "name": name,
-            "profile": profile,
-            "resolution": resolution,
-            "cost_ratio": cost_ratio,
-            "cost_model": cost_model,
-            "ess_mode": ess_mode,
-        },
-        "cost_ratio": cost_ratio,
-        "disk_key": disk_key,
-    }
+    # The archive key travels with the surface: the serving tier offers
+    # it to pool workers over shared memory under this key
+    # (repro.perf.shm).
+    ess.provenance = {"disk_key": disk_key}
     instance = WorkloadInstance(name=name, query=query, ess=ess,
                                 contours=contours)
     _CACHE[key] = instance

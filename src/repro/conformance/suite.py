@@ -10,12 +10,11 @@ sweep engines and checks every runtime invariant through an installed
 * the **batch** frontier engine — observed inside
   :func:`~repro.perf.batch.batched_suboptimality`, then compared
   bit-for-bit against the loop reference;
-* the **parallel** multiprocess engine — invoked directly through its
-  :class:`~repro.perf.parallel.SweepSpec` (bypassing the serial
-  fallback so a skip is reported honestly, never silently replaced by
-  the batch result), with ``force=True`` so the cost guard does not
-  veto the small grids on 1-CPU hosts, then compared
-  bit-for-bit against the loop reference;
+* the **parallel** multiprocess engine — invoked directly through
+  :func:`~repro.perf.parallel.parallel_suboptimality` (bypassing the
+  serial fallback so a skip is reported honestly, never silently
+  replaced by the batch result), then compared bit-for-bit against the
+  loop reference;
 * a sample of **traced scalar runs** per algorithm, feeding the
   per-execution invariants (half-space pruning, exact learning,
   lambda accounting, budget ladders, Lemma 4.4 repeats).
@@ -42,6 +41,7 @@ from repro.core.aligned_bound import AlignedBound, contour_alignment_stats
 from repro.core.mso import evaluate_algorithm
 from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
+from repro.perf.parallel import parallel_suboptimality
 from repro.prior import UniformPrior
 
 #: Engines the suite can exercise.
@@ -50,7 +50,7 @@ SUITE_ENGINES = ("loop", "batch", "parallel")
 #: Injection modes for negative testing.
 INJECT_MODES = ("mso", "learning")
 
-#: Worker-pool size for the forced parallel sweeps.
+#: Worker-pool size for the parallel sweeps.
 PARALLEL_WORKERS = 2
 
 
@@ -106,22 +106,6 @@ class SuiteReport:
                 counters.get("violations[bit-identity]", 0),
             "violations": counters.get("violations", 0),
         }
-
-
-def _forced_parallel_sweep(algorithm):
-    """The multiprocess sweep through its spec, cost guard bypassed.
-
-    Returns the sub-optimality array, or None when the parallel path is
-    genuinely unavailable (no provenance, pool failure) — the caller
-    records a skip instead of silently substituting another engine.
-    """
-    from repro.perf.parallel import parallel_suboptimality, spec_for
-
-    spec = spec_for(algorithm)
-    if spec is None:
-        return None
-    flats = list(range(algorithm.ess.grid.num_points))
-    return parallel_suboptimality(spec, flats, PARALLEL_WORKERS, force=True)
 
 
 def _algorithms(instance, prior=None):
@@ -209,7 +193,10 @@ def run_workload(seed, monitor, engines=SUITE_ENGINES, trace_samples=3,
                     per_engine["batch"] = (
                         "identical" if identical else "mismatch")
                 if "parallel" in engines:
-                    par = _forced_parallel_sweep(algorithm)
+                    # None only when the pool failed: the skip is
+                    # recorded, never replaced by another engine.
+                    par = parallel_suboptimality(
+                        algorithm, range(num_points), PARALLEL_WORKERS)
                     if par is None:
                         per_engine["parallel"] = "skipped"
                     else:

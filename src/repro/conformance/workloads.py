@@ -10,11 +10,7 @@ epps), resolution, cost-function shape and, through all of those, the
 alignment degree of the resulting contours (reported per workload by
 the suite via :func:`~repro.core.aligned_bound.contour_alignment_stats`).
 
-Instances carry ESS build *provenance* of kind ``"conformance"`` so the
-multiprocess sweep engine (:mod:`repro.perf.parallel`) can rebuild the
-exact same ESS inside worker processes — which is itself part of what
-the suite verifies (parallel sweeps must be bit-identical to the
-reference loop).  Cost-model perturbations use
+Cost-model perturbations use
 :meth:`~repro.optimizer.cost_model.CostModel.with_noise`, which scales
 the model's *constants* (never per-location costs), so the perturbed
 surface still satisfies the Plan Cost Monotonicity the guarantees rest
@@ -95,15 +91,9 @@ def knobs_for(seed, num_epps):
     return resolution, cost_ratio, cost_noise
 
 
-def build_conformance_instance(seed, resolution=None, cost_ratio=None,
-                               cost_noise=None, use_cache=True,
-                               ess_mode=None, family="random"):
+def build_conformance_instance(seed, use_cache=True, ess_mode=None,
+                               family="random"):
     """Build (or fetch) the conformance instance for a seed.
-
-    Explicit ``resolution``/``cost_ratio``/``cost_noise`` override the
-    seed-derived knobs — the parallel-sweep workers pass the resolved
-    values back in through the provenance, so a worker rebuild is
-    knob-for-knob identical regardless of generator evolution.
 
     Args:
         seed: workload seed (also seeds the knob draw and cost noise).
@@ -127,19 +117,15 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
         # from here at module scope.
         from repro.arena.adversarial import build_adversarial_instance
 
-        return build_adversarial_instance(seed, resolution=resolution)
+        return build_adversarial_instance(seed)
     ess_mode = settings.get("REPRO_ESS", ess_mode)
-    query = random_workload(seed, max_epps=MAX_EPPS)
-    auto_res, auto_ratio, auto_noise = knobs_for(seed, query.num_epps)
-    resolution = auto_res if resolution is None else int(resolution)
-    cost_ratio = auto_ratio if cost_ratio is None else float(cost_ratio)
-    cost_noise = auto_noise if cost_noise is None else float(cost_noise)
-
-    key = (seed, resolution, cost_ratio, cost_noise, ess_mode)
+    key = (seed, ess_mode)
     cached = _CACHE.get(key)
     if cached is not None:
         REGISTRY.incr("conformance_memory_hit")
         return cached
+    query = random_workload(seed, max_epps=MAX_EPPS)
+    resolution, cost_ratio, cost_noise = knobs_for(seed, query.num_epps)
 
     if cost_noise:
         cost_model = DEFAULT_COST_MODEL.with_noise(cost_noise, seed=seed)
@@ -168,18 +154,6 @@ def build_conformance_instance(seed, resolution=None, cost_ratio=None,
             if use_cache:
                 ess_cache.store(ess, disk_key)
     contours = contours_for(ess, cost_ratio)
-    ess.provenance = {
-        "kind": "conformance",
-        "build_kwargs": {
-            "seed": seed,
-            "resolution": resolution,
-            "cost_ratio": cost_ratio,
-            "cost_noise": cost_noise,
-            "ess_mode": ess_mode,
-        },
-        "cost_ratio": cost_ratio,
-        "disk_key": disk_key,
-    }
     instance = ConformanceInstance(
         seed=seed,
         query=query,

@@ -54,21 +54,6 @@ class Evaluation:
         return float(np.mean(self.suboptimality < threshold))
 
 
-def _parallel_sweep(algorithm, flats, workers):
-    """Try the multiprocess sweep; None means "use the serial path"."""
-    from repro.perf.parallel import parallel_suboptimality, spec_for
-
-    spec = spec_for(algorithm)
-    if spec is None:
-        return None
-    sub = parallel_suboptimality(spec, flats, workers, ess=algorithm.ess)
-    if sub is not None:
-        from repro.conformance.monitors import observe_sweep
-
-        observe_sweep(algorithm, sub, "parallel")
-    return sub
-
-
 #: Sweep-engine choices accepted by :func:`evaluate_algorithm`.
 SWEEP_ENGINES = ("auto", "batch", "parallel", "loop")
 
@@ -85,7 +70,7 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
     discovery state once, partitioning location sets with array
     arithmetic — bit-identical to the loop and preferred whenever it
     covers the algorithm), the multiprocess fan-out of
-    :mod:`repro.perf.parallel` (workers chunk the location set and
+    :mod:`repro.perf.parallel` (forked workers chunk the location set and
     propagate each chunk through the shared state machine, so per-worker
     work scales with states touched, not points), and the per-location
     reference loop.
@@ -95,23 +80,22 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
             (fast vectorized path) or ``run(qa) -> DiscoveryResult``.
         points: optional iterable of flat indices to restrict the sweep
             (used by sampled ablations); default is the full grid.
-        workers: worker-process count; default from ``REPRO_WORKERS``.
-        engine: ``"auto"`` (batched when covered, else multiprocess
-            when a worker spec exists and the cost guard allows, else
-            serial — every class :func:`~repro.perf.parallel.spec_for`
-            accepts also has a batch engine, so for those ``auto`` never
-            reaches the fan-out; it runs only when named),
-            ``"batch"`` (batched or serial fallback), ``"parallel"``
-            (force the fan-out attempt), or ``"loop"`` (force the
+        workers: fan-out width for ``engine="parallel"``; default from
+            ``REPRO_WORKERS``.
+        engine: ``"auto"`` or ``"batch"`` (batched when covered, else
+            serial), ``"parallel"`` (the multiprocess fan-out when
+            ``workers > 1`` and the batch engine covers the algorithm,
+            else serial — it runs only when named), or ``"loop"`` (the
             per-location reference loop — the benchmark baseline).
 
     Returns:
         :class:`Evaluation`.
     """
+    from repro.conformance.monitors import observe_sweep
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import span as obs_span
     from repro.perf.batch import batched_suboptimality
-    from repro.perf.parallel import worker_count
+    from repro.perf.parallel import parallel_suboptimality, worker_count
 
     if engine not in SWEEP_ENGINES:
         raise ValueError(
@@ -131,12 +115,12 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
             )
             if sub is not None:
                 used = "batch"
-        if sub is None and engine in ("auto", "parallel"):
-            workers = worker_count(workers)
-            if workers > 1:
-                sub = _parallel_sweep(algorithm, flat_list, workers)
-                if sub is not None:
-                    used = "parallel"
+        if engine == "parallel":
+            sub = parallel_suboptimality(algorithm, flat_list,
+                                         worker_count(workers))
+            if sub is not None:
+                observe_sweep(algorithm, sub, "parallel")
+                used = "parallel"
         if sub is None:
             if (engine != "loop" and points is None
                     and hasattr(algorithm, "evaluate_all")):
@@ -150,14 +134,11 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
                         f"no sweep engine covers "
                         f"{type(algorithm).__name__} and it has no "
                         "run() for the reference loop; register a "
-                        "batch engine or algorithm factory, or "
-                        "implement run(qa)"
+                        "batch engine or implement run(qa)"
                     )
                 sub = loop_suboptimality(algorithm, flat_list)
-                # Batch/parallel sweeps are observed inside their own
-                # engines; the reference loop is observed here.
-                from repro.conformance.monitors import observe_sweep
-
+                # Batch sweeps are observed inside their engine; the
+                # parallel and reference-loop sweeps are observed here.
                 observe_sweep(algorithm, sub, "loop")
         REGISTRY.incr("sweeps", labels={"engine": used})
         REGISTRY.incr("sweep_points", len(flat_list),

@@ -10,9 +10,9 @@ counters live in :data:`repro.obs.metrics.REGISTRY`):
   :func:`repro.core.mso.evaluate_algorithm` whenever it covers the
   algorithm;
 * :mod:`repro.perf.parallel` — multiprocess exhaustive-sweep engine
-  (``REPRO_WORKERS``) with a fan-out cost guard; workers chunk the
-  location set and propagate each chunk through the shared state
-  machine;
+  (``engine="parallel"``, ``REPRO_WORKERS``); forked workers inherit
+  the live algorithm, chunk the location set and propagate each chunk
+  through the shared state machine;
 * :mod:`repro.perf.cache` — persistent content-keyed ESS archive cache
   (``REPRO_CACHE_DIR`` / ``REPRO_CACHE``, see :mod:`repro.settings`),
   wired into
@@ -21,20 +21,11 @@ counters live in :data:`repro.obs.metrics.REGISTRY`):
 
 from repro.perf.batch import batched_suboptimality
 from repro.perf.cache import archive_path
-from repro.perf.parallel import (
-    SweepSpec,
-    fanout_decision,
-    parallel_suboptimality,
-    spec_for,
-    worker_count,
-)
+from repro.perf.parallel import parallel_suboptimality, worker_count
 
 __all__ = [
-    "SweepSpec",
     "archive_path",
     "batched_suboptimality",
-    "fanout_decision",
     "parallel_suboptimality",
-    "spec_for",
     "worker_count",
 ]

@@ -77,7 +77,7 @@ def batched_suboptimality(algorithm, points=None):
         does not cover the algorithm — callers fall back to the
         per-location loop.
     """
-    engine = _engine_for(algorithm)
+    engine = engine_for(algorithm)
     if engine is None:
         return None
     grid = algorithm.ess.grid
@@ -123,9 +123,10 @@ def register_batch_engine(cls, engine):
     _EXTRA_ENGINES[cls] = engine
 
 
-def _engine_for(algorithm):
+def engine_for(algorithm):
     """The batched engine for an algorithm, or None (exact-type gate:
-    subclasses override walk behaviour the engine cannot see)."""
+    subclasses override walk behaviour the engine cannot see).  The
+    multiprocess fan-out (:mod:`repro.perf.parallel`) shares this gate."""
     from repro.core.aligned_bound import AlignedBound
     from repro.core.plan_bouquet import PlanBouquet
     from repro.core.spill_bound import SpillBound

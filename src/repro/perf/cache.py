@@ -22,9 +22,9 @@ Knobs (environment, resolved by :mod:`repro.settings`):
   always run; nothing is written).
 
 Before touching disk, :func:`fetch` consults the shared-memory offer
-registry (:mod:`repro.perf.shm`): while a parallel sweep is live, its
-workers attach to the parent's exported surface instead of re-reading
-the archive.
+registry (:mod:`repro.perf.shm`): a discovery-server pool worker that
+holds an offer for the key attaches to the server's shared surface
+instead of re-reading the archive.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def store(ess, key):
 
     Every file is written to a temporary name and atomically renamed
     (``os.replace``), sidecars strictly before the ``.npz`` that
-    references them, so concurrent readers (parallel sweep workers
-    racing on a cold cache) can never observe a torn archive: until the
+    references them, so concurrent readers (pool workers racing on a
+    cold cache) can never observe a torn archive: until the
     final rename they see the old archive or a miss, and v3 sidecar
     names are content-addressed so a rewrite never mutates files an
     already-open reader may have mapped.  The whole write — sidecar

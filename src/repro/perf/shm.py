@@ -1,28 +1,28 @@
-"""Shared-memory ESS surfaces for the multiprocess sweep engine.
+"""Shared-memory ESS surfaces for the discovery server's pool workers.
 
-When the parent fans a sweep out (:mod:`repro.perf.parallel`), each
-worker historically *rebuilt* its ESS — from the persistent archive on
-a warm cache, or a full optimizer sweep on a cold one.  This module
-lets workers attach to the parent's surface instead: the parent copies
-``optimal_cost`` / ``plan_ids`` into ``multiprocessing.shared_memory``
-segments once and registers an *offer* keyed by the ESS content key;
-:func:`repro.perf.cache.fetch` consults the offer registry before the
-disk archive, so any worker whose in-process memo misses reconstructs
-the identical ESS from the mapped segments — zero copies, zero
-optimizer calls, and (unlike the disk path) zero decompression.
+The server's process pool outlives every surface it serves, so surfaces
+travel between processes as *offers*: a pool worker that just built an
+ESS copies ``optimal_cost`` / ``plan_ids`` into
+``multiprocessing.shared_memory`` segments with
+:func:`export_for_transfer` and ships the (picklable) offer back to the
+server, which owns segment lifetime from then on — passing the offer
+along with later requests (workers adopt it via :func:`register_offer`)
+and unlinking the segments on LRU eviction (:func:`unlink_offer`).
+Unlinking is safe while attachments are live: POSIX shm only drops the
+*name*; existing mappings stay valid until their handles close.
 
-The offer registry is a process-global dict, inherited by workers under
-the ``fork`` start method (the Linux default).  Under ``spawn`` the
-registry is empty in workers and the cache falls back to disk — the
-tier degrades, never breaks.  Plan trees are never shared: the offer
-carries plan *keys* (small strings) and workers reparse them, exactly
-like the archive path, so plan ids match the parent's ordering.
+:func:`repro.perf.cache.fetch` consults the process's offer registry
+before the disk archive, so a worker whose in-process memo misses
+reconstructs the identical ESS from the mapped segments — zero copies,
+zero optimizer calls, and (unlike the disk path) zero decompression.
+Plan trees are never shared: the offer carries plan *keys* (small
+strings) and workers reparse them, exactly like the archive path, so
+plan ids match the exporter's ordering.  Any attach failure falls
+through to the disk archive — the tier degrades, never breaks.
 
-The parent owns segment lifetime: :meth:`SharedSurface.close` unlinks
-the segments and withdraws the offer (``parallel_suboptimality`` does
-this in a ``finally``).  Workers unregister their attachments from the
-``resource_tracker`` — Python 3.11 has no ``track=False`` — so a worker
-exiting cannot reap segments the parent still serves.
+Attachments are untracked by the ``resource_tracker`` — Python 3.11 has
+no ``track=False`` — so a worker exiting cannot reap segments the
+server still serves.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ import numpy as np
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 
-#: Offer registry: content-key digest -> offer dict.  Module-global so
-#: forked sweep workers inherit live offers.
+#: Offer registry: content-key digest -> offer dict.
 _OFFERS = {}
 
-#: Ceiling on *transferred* offers a process keeps registered
+#: Ceiling on offers a process keeps registered
 #: (:func:`register_offer` evicts least-recently-registered beyond it).
 #: Bounds long-lived pool workers, which otherwise accumulate an offer
 #: — grid values, plan keys and all — for every surface they ever
@@ -94,82 +93,6 @@ def _digest(key):
     ).hexdigest()
 
 
-class SharedSurface:
-    """Parent-side owner of one ESS's shared-memory segments."""
-
-    def __init__(self, key, ess):
-        self.key = key
-        self._segments = []
-        try:
-            offer = self._export(key, ess)
-        except BaseException:
-            self._release_segments()
-            raise
-        self.offer = offer
-        _OFFERS[_digest(key)] = offer
-
-    def _export(self, key, ess):
-        grid = ess.grid
-        arrays = {
-            "optimal_cost": np.asarray(ess.optimal_cost, dtype=float),
-            "plan_ids": np.asarray(ess.plan_ids, dtype=np.int32),
-        }
-        names = {}
-        for field, source in arrays.items():
-            segment = shared_memory.SharedMemory(
-                create=True, size=source.nbytes
-            )
-            self._segments.append(segment)
-            view = np.ndarray(
-                source.shape, dtype=source.dtype, buffer=segment.buf
-            )
-            view[:] = source
-            names[field] = segment.name
-        return {
-            "key": key,
-            "segments": names,
-            "num_points": grid.num_points,
-            "plan_keys": list(ess.plan_keys),
-            # Exact grid values: attached grids must be bit-identical.
-            "grid_values": [
-                np.array(grid.values[d]) for d in range(grid.num_dims)
-            ],
-            "resolution": list(grid.resolution),
-        }
-
-    def _release_segments(self):
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
-        self._segments = []
-
-    def close(self):
-        """Withdraw the offer and free the segments."""
-        _OFFERS.pop(_digest(self.key), None)
-        self._release_segments()
-
-
-def publish(key, ess):
-    """Offer an ESS's surface over shared memory, or None on failure.
-
-    Lazy surfaces are never published: materializing one to share it
-    would pay the full sweep the lazy mode exists to avoid (workers
-    re-resolve their own points instead).
-    """
-    if getattr(ess, "is_lazy", False):
-        return None
-    try:
-        surface = SharedSurface(key, ess)
-    except Exception:
-        REGISTRY.incr("ess_shm_publish_failed")
-        return None
-    REGISTRY.incr("ess_shm_published")
-    return surface
-
-
 def attach_if_offered(key, query, cost_model):
     """Reconstruct an ESS from a live offer for ``key``, or None.
 
@@ -203,7 +126,7 @@ def _attach(offer, query, cost_model):
     handles = []
     for field in ("optimal_cost", "plan_ids"):
         # Attach untracked (see _untracked) so this process exiting
-        # does not reap segments the parent still owns.
+        # does not reap segments their owner still serves.
         with _untracked():
             segment = shared_memory.SharedMemory(
                 name=offer["segments"][field]
@@ -241,23 +164,6 @@ def live_offers():
     return len(_OFFERS)
 
 
-# ----------------------------------------------------------------------
-# Transferable offers: the serving tier's zero-copy hand-off
-# ----------------------------------------------------------------------
-#
-# The fork-inherited registry above only covers workers forked *after*
-# an offer exists (the parallel-sweep pattern).  The discovery server's
-# process pool outlives every offer, so its surfaces travel the other
-# way: a pool worker that just built an ESS exports the segments with
-# :func:`export_for_transfer` and ships the (picklable) offer back to
-# the server, which owns segment lifetime from then on — passing the
-# offer along with later requests (workers adopt it via
-# :func:`register_offer`, so ``cache.fetch`` attaches zero-copy) and
-# unlinking the segments on LRU eviction (:func:`unlink_offer`).
-# Unlinking is safe while attachments are live: POSIX shm only drops
-# the *name*; existing mappings stay valid until their handles close.
-
-
 def offer_nbytes(offer):
     """Resident bytes of an offer's segments (the LRU accounting unit)."""
     return int(offer.get("nbytes", 0))
@@ -266,13 +172,14 @@ def offer_nbytes(offer):
 def export_for_transfer(key, ess):
     """Create shared segments for ``ess`` and return a picklable offer.
 
-    Unlike :class:`SharedSurface`, the creating process keeps *no*
-    handles and *no* registry entry: every segment is unregistered from
-    this process's ``resource_tracker`` and its local mapping closed, so
-    the segments survive the creating pool worker exiting and belong to
-    whoever received the offer.  Returns ``None`` for lazy surfaces or
-    on any shared-memory failure (the caller falls back to the disk
-    archive — the tier degrades, never breaks).
+    The creating process keeps *no* handles and *no* registry entry:
+    every segment is unregistered from this process's
+    ``resource_tracker`` and its local mapping closed, so the segments
+    survive the creating pool worker exiting and belong to whoever
+    received the offer.  Returns ``None`` for lazy surfaces (sharing
+    one would pay the full sweep lazy mode exists to avoid) or on any
+    shared-memory failure (the caller falls back to the disk archive —
+    the tier degrades, never breaks).
     """
     if getattr(ess, "is_lazy", False):
         return None

@@ -69,10 +69,7 @@ class SelectivityPrior:
     """Interface: a probability model over ESS locations.
 
     Subclasses provide :meth:`pmf` (per-dimension probability vectors on
-    the grid) and :meth:`spec` (a hashable, grid-independent parameter
-    tuple that round-trips through :func:`prior_from_spec` — this is how
-    priors ride a :class:`~repro.perf.parallel.SweepSpec` into worker
-    processes bit-identically).
+    the grid).
     """
 
     kind = "uniform"
@@ -94,10 +91,6 @@ class SelectivityPrior:
         """
         raise NotImplementedError
 
-    def spec(self):
-        """Hashable grid-independent parameters; see :func:`prior_from_spec`."""
-        raise NotImplementedError
-
     def describe(self):
         return self.kind
 
@@ -109,9 +102,6 @@ class UniformPrior(SelectivityPrior):
 
     def pmf(self, grid):
         return None
-
-    def spec(self):
-        return ("uniform",)
 
 
 def _kernel_pmf(grid, dim, centers, sigmas):
@@ -180,9 +170,6 @@ class SampledPrior(SelectivityPrior):
             for d, (mu, sigma) in enumerate(self.params[: len(grid.resolution)])
         ]
 
-    def spec(self):
-        return ("sampled", self.params, self.quantile)
-
     def describe(self):
         return f"sampled({len(self.params)} epps)"
 
@@ -230,9 +217,6 @@ class HistoryPrior(SelectivityPrior):
             sigma = max(spread, MIN_SIGMA_LOG)
             out.append(_kernel_pmf(grid, d, centers, [sigma] * len(centers)))
         return out
-
-    def spec(self):
-        return ("history", self.observations, self.quantile)
 
     def describe(self):
         n = len(self.observations[0]) if self.observations else 0
@@ -344,13 +328,11 @@ def as_prior(value):
         return UniformPrior()
     if isinstance(value, SelectivityPrior):
         return value
-    if isinstance(value, tuple):
-        return prior_from_spec(value)
     if isinstance(value, str) and value == "uniform":
         return UniformPrior()
     raise ReproError(
         f"cannot interpret {value!r} as a selectivity prior; pass a "
-        f"SelectivityPrior, a spec tuple, or use make_prior()"
+        f"SelectivityPrior or use make_prior()"
     )
 
 
@@ -374,27 +356,6 @@ def make_prior(kind, query=None, ess=None, seed=None, store=None,
     return HistoryPrior.from_store(
         store, history_key(query, ess), query.num_epps, quantile=quantile
     )
-
-
-def prior_from_spec(spec):
-    """Rebuild a prior from its :meth:`SelectivityPrior.spec` tuple.
-
-    The round trip is bit-exact: specs carry the fitted parameters (not
-    the raw data), so a worker-side rebuild discretizes to the same pmf
-    arrays as the parent's instance.
-    """
-    if spec is None:
-        return UniformPrior()
-    if not isinstance(spec, tuple) or not spec:
-        raise ReproError(f"malformed prior spec {spec!r}")
-    kind = spec[0]
-    if kind == "uniform":
-        return UniformPrior()
-    if kind == "sampled":
-        return SampledPrior(spec[1], quantile=spec[2])
-    if kind == "history":
-        return HistoryPrior(spec[1], quantile=spec[2])
-    raise ReproError(f"unknown prior spec kind {kind!r}")
 
 
 def record_start_choice(schedule, start, qa_band):

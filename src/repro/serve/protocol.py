@@ -43,8 +43,7 @@ KIND_CHOICES = ("run", "evaluate")
 #: a nested sweep pool out of the pool worker (the executor's worker
 #: processes are non-daemonic); its width follows ``REPRO_WORKERS`` in
 #: the server's environment, which defaults to serial — nested fan-out
-#: is a deliberate operator opt-in, and the sweep's cost guard still
-#: applies.
+#: is a deliberate operator opt-in.
 EVALUATE_ENGINES = ("auto", "batch", "loop", "parallel")
 
 #: ESS surface modes (``None`` defers to the server default / REPRO_ESS).

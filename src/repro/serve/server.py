@@ -181,8 +181,12 @@ class DiscoveryServer:
             "b", num_slots, lock=False
         )
         self._free_slots = list(range(num_slots))
+        # Fork, named rather than left to the platform default: the
+        # inherited cancel slots and the signal reset in init_worker
+        # assume workers are forked from this process.
         self._pool = ProcessPoolExecutor(
             max_workers=self.config.workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=worker.init_worker,
             initargs=(self._cancel_slots,),
         )

@@ -75,10 +75,8 @@ SETTINGS = {setting.name: setting for setting in (
             "record every discovery (default <cache dir>/"
             "prior_history.jsonl)"),
     Setting("REPRO_WORKERS", "int", 1,
-            "worker processes for exhaustive sweeps; 0 or 1 = serial, "
-            "auto = CPU count", floor=0, choices=("auto",)),
-    Setting("REPRO_FORCE_PARALLEL", "bool", False,
-            "bypass the fan-out cost guard of parallel sweeps"),
+            "worker processes for engine=parallel sweeps; 0 or 1 = "
+            "serial, auto = CPU count", floor=0, choices=("auto",)),
     Setting("REPRO_CACHE", "bool", True,
             "persistent ESS archive cache on/off"),
     Setting("REPRO_CACHE_DIR", "path", _default_cache_dir,

@@ -137,7 +137,7 @@ class TestSeededFamily:
     def test_registry_family_routes_here(self):
         assert "adversarial" in WORKLOAD_FAMILIES
         instance = build_conformance_instance(2, family="adversarial")
-        assert instance.ess.provenance["kind"] == "adversarial"
+        assert isinstance(instance.ess, AdversarialESS)
         twin = build_adversarial_instance(seed=2)
         assert np.array_equal(instance.ess.plan_ids, twin.ess.plan_ids)
 
@@ -145,22 +145,12 @@ class TestSeededFamily:
         with pytest.raises(ReproError, match="family"):
             build_conformance_instance(0, family="bogus")
 
-    def test_worker_rebuild_bit_identical(self):
-        from repro.perf.parallel import _build_algorithm, spec_for
-
-        instance = build_adversarial_instance(seed=1)
-        sb = SpillBound(instance.ess, instance.contours)
-        spec = spec_for(sb)
-        assert spec is not None and spec.kind == "adversarial"
-        rebuilt = _build_algorithm(spec)
-        assert np.array_equal(rebuilt.ess.optimal_cost,
-                              instance.ess.optimal_cost)
-        assert np.array_equal(rebuilt.ess.plan_ids, instance.ess.plan_ids)
-
     def test_engine_bit_identity(self):
         instance = _instance(3)
         loop = evaluate_algorithm(
             SpillBound(instance.ess, instance.contours), engine="loop")
-        batch = evaluate_algorithm(
-            SpillBound(instance.ess, instance.contours), engine="batch")
-        assert np.array_equal(loop.suboptimality, batch.suboptimality)
+        for engine in ("batch", "parallel"):
+            other = evaluate_algorithm(
+                SpillBound(instance.ess, instance.contours), workers=2,
+                engine=engine)
+            assert np.array_equal(loop.suboptimality, other.suboptimality)

@@ -197,25 +197,23 @@ class TestRivalRuns:
         monitor.check_run(result, rival)
         assert "mso-bound" in monitor.violations_by_invariant()
 
-    def test_parallel_spec_roundtrip(self):
+    def test_parallel_fanout_bit_identical(self):
         from repro.conformance.workloads import build_conformance_instance
-        from repro.perf.parallel import _build_algorithm, spec_for
+        from repro.obs.metrics import REGISTRY
 
         instance = build_conformance_instance(3)
-        origin = instance.ess.grid.origin
-        estimate = tuple(c + 1 for c in origin)
-        rival = MinmaxRegretSelector(
-            instance.ess, instance.contours,
-            profile=ErrorProfile(width=1, spread=2.0), estimate=estimate)
-        spec = spec_for(rival)
-        assert spec is not None
-        kwargs = dict(spec.algo_kwargs)
-        assert kwargs["profile"] == ("error-profile", "gaussian", 1, 2.0)
-        assert kwargs["estimate"] == estimate
-        rebuilt = _build_algorithm(spec)
-        assert type(rebuilt) is MinmaxRegretSelector
-        assert rebuilt.plan_id == rival.plan_id
-        assert rebuilt.profile == rival.profile
+        estimate = tuple(c + 1 for c in instance.ess.grid.origin)
+
+        def rival():
+            return MinmaxRegretSelector(
+                instance.ess, instance.contours,
+                profile=ErrorProfile(width=1, spread=2.0), estimate=estimate)
+
+        loop = evaluate_algorithm(rival(), engine="loop")
+        before = REGISTRY.counter("parallel_sweeps")
+        parallel = evaluate_algorithm(rival(), workers=2, engine="parallel")
+        assert REGISTRY.counter("parallel_sweeps") == before + 1
+        assert np.array_equal(loop.suboptimality, parallel.suboptimality)
 
 
 class TestArenaReport:
@@ -280,15 +278,6 @@ class TestUnregisteredAlgorithmErrors:
         shell = SimpleNamespace(ess=toy_ess)
         with pytest.raises(ReproError, match="SimpleNamespace"):
             evaluate_algorithm(shell, engine="loop")
-
-    def test_worker_rejects_unknown_algorithm_name(self):
-        from repro.perf.parallel import SweepSpec, _build_algorithm
-
-        spec = SweepSpec(kind="conformance",
-                         build_kwargs=(("seed", 0),),
-                         algorithm="nope", algo_kwargs=())
-        with pytest.raises(ReproError, match="nope"):
-            _build_algorithm(spec)
 
     def test_cli_names_the_unknown_algorithm(self, capsys):
         code = main(["evaluate", "2D_Q91", "--algorithms", "pb,bogus"])

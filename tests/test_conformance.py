@@ -447,20 +447,6 @@ class TestConformanceWorkloads:
             (b.name, b.ess.optimal_cost.shape) or \
             not np.array_equal(a.ess.optimal_cost, b.ess.optimal_cost)
 
-    def test_provenance_supports_worker_rebuild(self):
-        from repro.perf.parallel import _build_algorithm, spec_for
-
-        instance = build_conformance_instance(3)
-        assert instance.ess.provenance["kind"] == "conformance"
-        sb = SpillBound(instance.ess, instance.contours)
-        spec = spec_for(sb)
-        assert spec is not None and spec.kind == "conformance"
-        rebuilt = _build_algorithm(spec)
-        assert np.array_equal(rebuilt.ess.optimal_cost,
-                              instance.ess.optimal_cost)
-        assert np.array_equal(rebuilt.contours.budgets,
-                              instance.contours.budgets)
-
 
 # ----------------------------------------------------------------------
 # The suite itself
@@ -476,7 +462,7 @@ class TestConformanceSuite:
         for per_engine in outcome.engines.values():
             assert per_engine["loop"] == "checked"
             assert per_engine["batch"] == "identical"
-            assert per_engine["parallel"] in ("identical", "skipped")
+            assert per_engine["parallel"] == "identical"
         assert outcome.traced_runs >= 2 * 3
 
     def test_small_suite_clean(self, tmp_path):

@@ -383,9 +383,7 @@ class TestWorkloadRegistryWiring:
                                   ess_mode="lazy")
         assert isinstance(instance.ess, LazyESS)
         assert isinstance(instance.contours, LazyContourSet)
-        provenance = instance.ess.provenance
-        assert provenance["build_kwargs"]["ess_mode"] == "lazy"
-        assert provenance["disk_key"]["query_name"] == "2D_Q42"
+        assert instance.ess.provenance["disk_key"]["query_name"] == "2D_Q42"
         workloads.clear_cache()
 
     def test_modes_get_distinct_registry_entries(self, monkeypatch,

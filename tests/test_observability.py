@@ -164,9 +164,7 @@ class TestParallelSweepPropagation:
         yield
         workloads.clear_cache()
 
-    def test_sweep_worker_spans_splice_into_parent(self, isolated_cache,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+    def test_sweep_worker_spans_splice_into_parent(self, isolated_cache):
         tracer = trace.Tracer()
         previous = trace.install_tracer(tracer)
         try:

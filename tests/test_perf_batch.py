@@ -212,7 +212,6 @@ class TestLevelSweep:
         """Each worker chunk plans its own levels; the pieces must
         assemble into the loop's array."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
         workloads.clear_cache()
         try:
             instance = workloads.load("4D_Q26", profile="smoke",

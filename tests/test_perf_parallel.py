@@ -1,12 +1,21 @@
-"""Tests for the multiprocess sweep engine (repro.perf.parallel)."""
+"""Tests for the multiprocess sweep engine (repro.perf.parallel).
+
+Workers inherit the live algorithm by fork, so anything the batch
+engine covers fans out — registry workloads, hand-built surfaces,
+wallclock setups, lazy surfaces — and must match the loop bit for bit.
+"""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.bench import workloads
 from repro.core.mso import evaluate_algorithm
+from repro.core.plan_bouquet import PlanBouquet
 from repro.core.spill_bound import SpillBound
 from repro.errors import ReproError
+from repro.obs.metrics import REGISTRY
 from repro.perf import parallel as par
 
 
@@ -17,6 +26,17 @@ def isolated_cache(tmp_path, monkeypatch):
     workloads.clear_cache()
     yield
     workloads.clear_cache()
+
+
+def _assert_fans_out_like_loop(make, points=None):
+    """A named 2-worker fan-out equals the loop and really ran a pool."""
+    loop = evaluate_algorithm(make(), points=points, engine="loop")
+    before = REGISTRY.counter("parallel_sweeps")
+    parallel = evaluate_algorithm(make(), points=points, workers=2,
+                                  engine="parallel")
+    assert REGISTRY.counter("parallel_sweeps") == before + 1
+    assert np.array_equal(loop.suboptimality, parallel.suboptimality)
+    assert loop.worst_location == parallel.worst_location
 
 
 class TestWorkerCount:
@@ -40,16 +60,19 @@ class TestWorkerCount:
             par.worker_count()
 
 
-class TestSpecDerivation:
-    def test_registry_instances_have_specs(self, isolated_cache):
-        instance = workloads.load("2D_Q91", profile="smoke")
-        spec = par.spec_for(SpillBound(instance.ess, instance.contours))
-        assert spec is not None
-        assert spec.kind == "workload"
-        assert spec.algorithm == "sb"
+class TestFanoutDecision:
+    """Fan-out runs when named, with more than one worker, on a type the
+    batch engine covers — and nothing else vetoes it."""
 
-    def test_hand_built_ess_stays_serial(self, toy_sb):
-        assert par.spec_for(toy_sb) is None
+    def test_one_worker(self, toy_sb):
+        assert par.parallel_suboptimality(toy_sb, range(50), 1) is None
+
+    def test_single_cpu(self, toy_sb, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _assert_fans_out_like_loop(lambda: toy_sb)
+
+    def test_small_sweep(self, toy_sb):
+        _assert_fans_out_like_loop(lambda: toy_sb, points=[3, 17, 250])
 
     def test_subclasses_stay_serial(self, isolated_cache):
         from repro.ess.dependence import (
@@ -61,74 +84,13 @@ class TestSpecDerivation:
         algo = CorrelatedSpillBound(
             instance.ess, [CorrelationSpec(0, 1, 0.3)], instance.contours
         )
-        assert par.spec_for(algo) is None
-
-    def test_mismatched_contours_stay_serial(self, isolated_cache):
-        from repro.ess.contours import ContourSet
-
-        instance = workloads.load("2D_Q91", profile="smoke")
-        other = ContourSet(instance.ess, cost_ratio=3.0)
-        assert par.spec_for(SpillBound(instance.ess, other)) is None
-
-    def test_pb_spec_carries_lambda(self, isolated_cache):
-        from repro.core.plan_bouquet import PlanBouquet
-
-        instance = workloads.load("2D_Q91", profile="smoke")
-        pb = PlanBouquet(instance.ess, instance.contours, lam=0.5)
-        spec = par.spec_for(pb)
-        assert dict(spec.algo_kwargs)["lam"] == 0.5
-
-
-class TestFanoutDecision:
-    def test_one_worker(self):
-        assert par.fanout_decision(10_000, 1) == (1, "one_worker")
-
-    def test_single_cpu(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert par.fanout_decision(10_000, 4, cpus=1) == (1, "single_cpu")
-
-    def test_small_sweep(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert par.fanout_decision(100, 4, cpus=4) == (1, "small_sweep")
-
-    def test_below_amortization(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        monkeypatch.setattr(par, "MIN_POINTS_PER_WORKER", 300)
-        assert par.fanout_decision(500, 4, cpus=4) == (
-            1, "below_amortization")
-
-    def test_workers_clamped_to_amortizable_share(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert par.fanout_decision(300, 16, cpus=8) == (4, None)
-
-    def test_force_bypasses_guard(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        assert par.fanout_decision(10, 4, cpus=1) == (4, None)
-
-    def test_skips_are_counted(self, isolated_cache, monkeypatch):
-        from repro.obs.metrics import REGISTRY
-
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        instance = workloads.load("2D_Q91", profile="smoke")
-        spec = par.spec_for(SpillBound(instance.ess, instance.contours))
-        REGISTRY.reset()
-        # 100 points < MIN_PARALLEL_POINTS (or 1 CPU): the guard declines
-        # and the caller falls back to the serial path.
-        assert par.parallel_suboptimality(spec, range(100), 4) is None
-        assert REGISTRY.counter("parallel_sweep_skipped") == 1
+        assert par.parallel_suboptimality(algo, range(100), 2) is None
 
 
 class TestParallelSweep:
-    @pytest.fixture
-    def forced_pool(self, monkeypatch):
-        """Make the fan-out actually run on any host (1-CPU CI included)."""
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-
     @pytest.mark.parametrize("algo_key", ["pb", "sb", "ab"])
-    def test_parallel_matches_loop_exactly(self, isolated_cache,
-                                           forced_pool, algo_key):
+    def test_parallel_matches_loop_exactly(self, isolated_cache, algo_key):
         from repro.core.aligned_bound import AlignedBound
-        from repro.core.plan_bouquet import PlanBouquet
 
         classes = {"pb": PlanBouquet, "sb": SpillBound, "ab": AlignedBound}
         instance = workloads.load("2D_Q91", profile="smoke")
@@ -141,7 +103,7 @@ class TestParallelSweep:
         assert serial.mso == parallel.mso
         assert serial.worst_location == parallel.worst_location
 
-    def test_restricted_points_parallel(self, isolated_cache, forced_pool):
+    def test_restricted_points_parallel(self, isolated_cache):
         instance = workloads.load("2D_Q91", profile="smoke")
         points = [3, 17, 50, 77, 99]
         serial = evaluate_algorithm(
@@ -157,9 +119,35 @@ class TestParallelSweep:
 
     def test_serial_default_unchanged(self, isolated_cache, monkeypatch):
         """Without REPRO_WORKERS the sweep never touches a process pool."""
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         instance = workloads.load("2D_Q91", profile="smoke")
+        before = REGISTRY.counter("parallel_sweeps")
         evaluation = evaluate_algorithm(
-            SpillBound(instance.ess, instance.contours)
+            SpillBound(instance.ess, instance.contours), engine="parallel"
         )
         assert evaluation.suboptimality.shape == (100,)
+        assert REGISTRY.counter("parallel_sweeps") == before
+
+    def test_hand_built_ess_fans_out(self, toy_ess, toy_contours):
+        _assert_fans_out_like_loop(lambda: SpillBound(toy_ess, toy_contours))
+
+    def test_pb_lambda_is_inherited(self, isolated_cache):
+        instance = workloads.load("2D_Q91", profile="smoke")
+        _assert_fans_out_like_loop(
+            lambda: PlanBouquet(instance.ess, instance.contours, lam=0.5))
+
+    def test_wallclock_surface_fans_out(self):
+        from repro.bench.wallclock import build_wallclock_setup
+
+        setup = build_wallclock_setup(row_budget=6_000, seed=7, resolution=4)
+        _assert_fans_out_like_loop(
+            lambda: SpillBound(setup.ess, setup.contours))
+
+    def test_lazy_restricted_sweep_fans_out(self, isolated_cache):
+        from repro.core.aligned_bound import AlignedBound
+
+        instance = workloads.load("2D_Q42", profile="smoke", ess_mode="lazy")
+        assert instance.ess.is_lazy
+        _assert_fans_out_like_loop(
+            lambda: AlignedBound(instance.ess, instance.contours),
+            points=[0, 9, 42, 55, 99])

@@ -1,8 +1,9 @@
 """Unit tests for the selectivity-prior package.
 
-Covers the prior classes themselves (pmf shape/normalization, spec
-round trips, the history store), the :class:`PriorSchedule` decisions
-(band clamp, quantile targeting, ordering stability), the two new
+Covers the prior classes themselves (pmf shape/normalization, the
+history store, active priors through the forked parallel sweep), the
+:class:`PriorSchedule` decisions (band clamp, quantile targeting,
+ordering stability), the two new
 conformance invariants, source attribution of ``--prior`` /
 ``REPRO_PRIOR`` through :mod:`repro.settings`, and the serving
 protocol's ``prior`` field.
@@ -31,7 +32,6 @@ from repro.prior import (
     as_prior,
     history_key,
     make_prior,
-    prior_from_spec,
 )
 from repro.serve.protocol import ProtocolError, parse_discover
 
@@ -50,7 +50,6 @@ def test_uniform_prior_is_inert(instance):
     prior = UniformPrior()
     assert not prior.is_active
     assert prior.pmf(instance.ess.grid) is None
-    assert prior.spec() == ("uniform",)
 
 
 def test_sampled_prior_pmf_normalized(instance):
@@ -67,15 +66,6 @@ def test_sampled_fit_deterministic(instance):
     a = SampledPrior.fit(instance.query)
     b = SampledPrior.fit(instance.query)
     assert a.params == b.params
-
-
-def test_sampled_spec_roundtrip_bit_identical(instance):
-    prior = SampledPrior.fit(instance.query)
-    rebuilt = prior_from_spec(prior.spec())
-    assert isinstance(rebuilt, SampledPrior)
-    for a, b in zip(prior.pmf(instance.ess.grid),
-                    rebuilt.pmf(instance.ess.grid)):
-        assert np.array_equal(a, b)
 
 
 def test_history_prior_empty_is_inert(instance):
@@ -113,38 +103,42 @@ def test_history_store_tolerates_garbage(tmp_path, instance):
         key, len(qa)) == []
 
 
-def test_history_spec_roundtrip(tmp_path, instance):
+@pytest.mark.parametrize("kind", ["sampled", "history"])
+def test_active_prior_parallel_sweep_bit_identical(tmp_path, instance,
+                                                   kind):
+    """Forked sweep workers inherit the parent's prior: the fan-out
+    schedules exactly like the in-process batch sweep."""
+    from repro.core.mso import evaluate_algorithm
+
     store = HistoryStore(str(tmp_path / "h.jsonl"))
-    key = history_key(instance.query, instance.ess)
-    store.record(key, instance.query.true_location())
-    prior = HistoryPrior.from_store(store, key, instance.query.num_epps)
-    rebuilt = prior_from_spec(prior.spec())
-    for a, b in zip(prior.pmf(instance.ess.grid),
-                    rebuilt.pmf(instance.ess.grid)):
-        assert np.array_equal(a, b)
+    store.record(history_key(instance.query, instance.ess),
+                 instance.query.true_location())
+    prior = make_prior(kind, instance.query, instance.ess, store=store)
+    assert PriorSchedule(prior, instance.ess, instance.contours).active
+    batch = evaluate_algorithm(
+        SpillBound(instance.ess, instance.contours, prior=prior),
+        engine="batch")
+    parallel = evaluate_algorithm(
+        SpillBound(instance.ess, instance.contours, prior=prior),
+        workers=2, engine="parallel")
+    assert np.array_equal(batch.suboptimality, parallel.suboptimality)
 
 
 def test_as_prior_and_make_prior(instance):
     assert isinstance(as_prior(None), UniformPrior)
     sampled = SampledPrior.fit(instance.query)
     assert as_prior(sampled) is sampled
-    assert isinstance(as_prior(("uniform",)), UniformPrior)
+    assert isinstance(as_prior("uniform"), UniformPrior)
     with pytest.raises(ReproError):
         as_prior(3.14)
+    with pytest.raises(ReproError):
+        as_prior(("uniform",))
     assert isinstance(make_prior(None), UniformPrior)
     assert isinstance(make_prior("uniform"), UniformPrior)
     with pytest.raises(ReproError):
         make_prior("bogus")
     with pytest.raises(ReproError):
         make_prior("sampled")  # needs a query context
-
-
-def test_prior_from_spec_rejects_malformed():
-    with pytest.raises(ReproError):
-        prior_from_spec(("mystery", 1))
-    with pytest.raises(ReproError):
-        prior_from_spec("sampled")
-    assert isinstance(prior_from_spec(None), UniformPrior)
 
 
 # ----------------------------------------------------------------------

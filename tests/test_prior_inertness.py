@@ -24,13 +24,11 @@ ALGORITHMS = {"pb": PlanBouquet, "sb": SpillBound, "ab": AlignedBound}
 SEEDS = fuzz_seeds([11, 29])
 
 
-def _forced_parallel(algorithm):
-    from repro.perf.parallel import parallel_suboptimality, spec_for
+def _parallel(algorithm):
+    from repro.perf.parallel import parallel_suboptimality
 
-    spec = spec_for(algorithm)
-    assert spec is not None
-    flats = list(range(algorithm.ess.grid.num_points))
-    return parallel_suboptimality(spec, flats, 2, force=True)
+    return parallel_suboptimality(
+        algorithm, range(algorithm.ess.grid.num_points), 2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -55,10 +53,9 @@ def test_uniform_prior_bit_identical_parallel(algo):
     cls = ALGORITHMS[algo]
     plain = cls(instance.ess, instance.contours)
     uniform = cls(instance.ess, instance.contours, prior=UniformPrior())
-    ref = _forced_parallel(plain)
-    twin = _forced_parallel(uniform)
-    if ref is None or twin is None:
-        pytest.skip("parallel path unavailable on this host")
+    ref = _parallel(plain)
+    twin = _parallel(uniform)
+    assert ref is not None and twin is not None
     assert np.array_equal(ref, twin)
 
 

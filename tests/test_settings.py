@@ -67,7 +67,10 @@ def test_blank_variable_means_default(name, monkeypatch):
     ("0", False), ("OFF", False), (" no", False), ("False", False),
 ])
 def test_booleans_parse_one_way(raw, expected, monkeypatch):
-    for name in ("REPRO_CACHE", "REPRO_TRACE", "REPRO_FORCE_PARALLEL"):
+    booleans = [name for name, setting in settings.SETTINGS.items()
+                if setting.kind == "bool"]
+    assert booleans
+    for name in booleans:
         monkeypatch.setenv(name, raw)
         assert settings.get(name) is expected
 
@@ -93,7 +96,7 @@ def test_no_setting_is_read_at_import_except_trace():
 
 def test_table_size():
     """Adding a knob means adding a row here, on purpose."""
-    assert len(settings.SETTINGS) == 19
+    assert len(settings.SETTINGS) == 18
 
 
 def test_only_the_settings_module_reads_the_environment():
