@@ -1,9 +1,9 @@
 """Theorem 4.6: the MSO lower bound for half-space pruning algorithms.
 
-The adversarial game forces any deterministic algorithm in the class E
-to pay at least D times the oracle cost; the round-robin strategy
-achieves exactly D, certifying SpillBound's D^2+3D guarantee is within
-an O(D) factor of optimal.
+The constructive adversarial instance forces any deterministic
+algorithm in the class E to pay at least D times the oracle cost; SB and
+AB swept over it pay exactly D, certifying SpillBound's D^2+3D guarantee
+is within an O(D) factor of optimal.
 """
 
 from benchmarks.conftest import once
@@ -11,7 +11,7 @@ from repro.bench import harness
 from repro.bench.report import format_table
 
 
-def test_lower_bound_demonstration(benchmark, emit):
+def test_lower_bound(benchmark, emit):
     rows = once(benchmark, lambda: harness.run_lower_bound((2, 3, 4, 5, 6)))
     emit(format_table(
         "Theorem 4.6: adversarial lower bound (measured MSO >= D)",

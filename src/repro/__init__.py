@@ -59,7 +59,7 @@ from repro.core.aligned_bound import (
     contour_alignment_stats,
 )
 from repro.core.discovery import DiscoveryResult, ExecutionRecord
-from repro.core.lower_bound import AdversarialGame, lower_bound_demonstration
+from repro.core.lower_bound import AdversarialGame
 from repro.core.validate import (
     ValidationError,
     validate_contours,
@@ -101,7 +101,6 @@ from repro.ess.ocs import ESS
 from repro.ess.diagrams import plan_diagram_stats, reduction_curve, switching_profile
 from repro.ess.persistence import load_ess, save_ess
 from repro.ess.reduction import AnorexicReduction
-from repro.optimizer.calibration import CalibrationReport, calibrate, measure_delta
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.query.predicates import FilterPredicate, JoinPredicate, filter_pred, join
@@ -122,7 +121,6 @@ __all__ = [
     "parse_sql", "SQLParser",
     # optimizer
     "Optimizer", "CostModel", "DEFAULT_COST_MODEL",
-    "calibrate", "measure_delta", "CalibrationReport",
     # ESS machinery
     "ESSGrid", "ESS", "ContourSet", "Contour", "AnorexicReduction",
     "save_ess", "load_ess", "bounds",
@@ -138,7 +136,7 @@ __all__ = [
     "PlanBouquet", "SpillBound", "AlignedBound", "NativeOptimizer",
     "RandomizedSpillBound", "RobustSession", "SessionDecision",
     "contour_alignment_stats", "AlignmentStats",
-    "AdversarialGame", "lower_bound_demonstration",
+    "AdversarialGame",
     "recommend_epps", "EppRecommendation", "RobustnessAdvisor", "Advice",
     # results and metrics
     "DiscoveryResult", "ExecutionRecord", "Evaluation", "evaluate_algorithm",

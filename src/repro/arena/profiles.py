@@ -55,11 +55,6 @@ class ErrorProfile:
         if self.kind == "gaussian" and self.width > 0 and self.spread <= 0:
             raise ReproError("error-profile spread must be > 0")
 
-    @property
-    def is_degenerate(self):
-        """Whether all probability mass sits on the estimate itself."""
-        return self.width == 0
-
     def offset_weights(self):
         """``(offsets, weights)`` of the 1-D marginal, pre-clipping."""
         offsets = np.arange(-self.width, self.width + 1, dtype=np.int64)

@@ -20,6 +20,7 @@ from repro.ess.contours import ContourSet
 from repro.ess.grid import ESSGrid
 from repro.ess.ocs import ESS
 from repro.obs.metrics import REGISTRY
+from repro.perf.cache import fetch_or_build
 from repro.query.predicates import filter_pred, join
 from repro.query.query import SPJQuery
 
@@ -148,8 +149,7 @@ def build_wallclock_setup(row_budget=40_000, seed=11, resolution=10):
         resolution=resolution,
         sel_min=[min(1e-4, p.selectivity / 5.0) for p in query.epps],
     )
-    with REGISTRY.phase("ess_build"):
-        ess = ESS.build(query, grid)
+    ess = fetch_or_build(query, grid)
     with REGISTRY.phase("contour_build"):
         contours = ContourSet(ess)
     return WallclockSetup(

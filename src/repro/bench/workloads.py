@@ -31,7 +31,6 @@ from repro.catalog.tpcds import build_query, suite_names
 from repro.ess.contours import DEFAULT_COST_RATIO
 from repro.ess.grid import ESSGrid
 from repro.ess.lazy import LazyESS, contours_for
-from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
 from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
@@ -155,11 +154,7 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
         with REGISTRY.phase("ess_build"):
             ess = LazyESS(query, grid, cost_model=cost_model)
     else:
-        ess = ess_cache.fetch(disk_key, query, cost_model)
-        if ess is None:
-            with REGISTRY.phase("ess_build"):
-                ess = ESS.build(query, grid, cost_model=cost_model)
-            ess_cache.store(ess, disk_key)
+        ess = ess_cache.fetch_or_build(query, grid, cost_model, disk_key)
     with REGISTRY.phase("contour_build"):
         contours = contours_for(ess, cost_ratio)
     # The archive key travels with the surface: the serving tier offers

@@ -727,7 +727,8 @@ def build_parser():
 
     p = sub.add_parser("build", help="build (and optionally save) an ESS")
     p.add_argument("query")
-    p.add_argument("--save", default=None, help="write the ESS to a .npz")
+    p.add_argument("--save", default=None,
+                   help="write the ESS archive (.npz plus two .npy sidecars)")
 
     p = sub.add_parser("run", help="one traced discovery run")
     p.add_argument("query")

@@ -27,7 +27,6 @@ from repro import settings
 from repro.bench.randgen import random_workload
 from repro.ess.grid import ESSGrid
 from repro.ess.lazy import LazyESS, contours_for
-from repro.ess.ocs import ESS
 from repro.ess.persistence import ess_cache_key
 from repro.obs.metrics import REGISTRY
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
@@ -143,16 +142,11 @@ def build_conformance_instance(seed, use_cache=True, ess_mode=None,
     if ess_mode == "lazy":
         # Lazy surfaces bypass the archive cache entirely (fetching one
         # would defeat the point; storing one would force a full sweep).
-        with REGISTRY.phase("conformance_ess_build"):
+        with REGISTRY.phase("ess_build"):
             ess = LazyESS(query, grid, cost_model=cost_model)
     else:
-        ess = (ess_cache.fetch(disk_key, query, cost_model)
-               if use_cache else None)
-        if ess is None:
-            with REGISTRY.phase("conformance_ess_build"):
-                ess = ESS.build(query, grid, cost_model=cost_model)
-            if use_cache:
-                ess_cache.store(ess, disk_key)
+        ess = ess_cache.fetch_or_build(query, grid, cost_model,
+                                       disk_key if use_cache else None)
     contours = contours_for(ess, cost_ratio)
     instance = ConformanceInstance(
         seed=seed,

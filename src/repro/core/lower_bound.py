@@ -3,7 +3,8 @@
 The paper proves that *no* deterministic algorithm in the class ``E`` of
 half-space pruning discovery algorithms can guarantee ``MSO < D``.  The
 argument is adversarial, and this module implements it as a playable
-game so the bound can be demonstrated against concrete strategies:
+game (the randomized-strategy contrast of
+:func:`repro.core.randomized.randomized_game_expectation` plays it):
 
 * The hidden location ``qa`` is one of ``D`` candidates ``q^(1)..q^(D)``,
   where ``q^(k)`` has selectivity 1 along dimension ``k`` and 0 along
@@ -21,7 +22,9 @@ game so the bound can be demonstrated against concrete strategies:
 A deterministic algorithm's probe order is fixed, so the adversary
 places ``qa`` at the dimension probed *last*: the algorithm pays at
 least ``D * C`` before it can finish, while the oracle pays ``C`` —
-hence ``MSO >= D``.
+hence ``MSO >= D``.  The real SB and AB meet that bound on the
+constructive surface of :mod:`repro.arena.adversarial`
+(``repro experiment lower-bound``).
 """
 
 from __future__ import annotations
@@ -96,26 +99,3 @@ class AdversarialGame:
         """Total spend over the oracle cost ``C``."""
         return self.total_spent / self.contour_cost
 
-
-def play_round_robin(num_dims, contour_cost=1.0):
-    """The canonical deterministic strategy: resolve dimensions in index
-    order with full-budget probes.  Any deterministic order yields the
-    same count under adversarial play."""
-    game = AdversarialGame(num_dims, contour_cost)
-    dim = 0
-    while not game.finished:
-        game.probe(dim % num_dims, contour_cost)
-        dim += 1
-        if dim > 4 * num_dims:
-            raise DiscoveryError("strategy failed to converge")
-    return game
-
-
-def lower_bound_demonstration(num_dims):
-    """Return the measured sub-optimality of the best-effort strategy.
-
-    Theorem 4.6 asserts this is always >= D; the round-robin strategy
-    achieves exactly D (each resolution costs one contour budget and D
-    resolutions are forced).
-    """
-    return play_round_robin(num_dims).suboptimality()

@@ -15,8 +15,9 @@ actually host.  For each *canned query* it:
    error-radius estimate — discovery pays for itself across a workload.
 
 The session is deliberately stateful-but-transparent: everything it
-learns is inspectable (``feedback``, ``decisions``), and the cache is
-plain ``.npz`` files keyed by query name.
+learns is inspectable (``feedback``, ``decisions``), and its cache is
+the persistent ESS cache (:mod:`repro.perf.cache`) pointed at its own
+directory, keyed by the build's content like every other archive.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from repro.core.spill_bound import SpillBound
 from repro.errors import DiscoveryError
 from repro.ess.contours import ContourSet
 from repro.ess.grid import ESSGrid
-from repro.ess.ocs import ESS
-from repro.ess.persistence import load_ess, save_ess
+from repro.ess.persistence import ess_cache_key
+from repro.optimizer.cost_model import DEFAULT_COST_MODEL
+from repro.perf.cache import fetch_or_build
 
 _ALGORITHMS = {"sb": SpillBound, "ab": AlignedBound}
 
@@ -88,18 +90,13 @@ class RobustSession:
         cached = self._instances.get(query.name)
         if cached is not None:
             return cached
-        archive = (self.cache_dir / f"{query.name}.npz"
-                   if self.cache_dir else None)
-        ess = None
-        if archive is not None and archive.exists():
-            ess = load_ess(archive, query)
-        if ess is None:
-            sel_min = [min(1e-5, p.selectivity / 3.0) for p in query.epps]
-            grid = ESSGrid(query.num_epps, resolution=self.resolution,
-                           sel_min=sel_min)
-            ess = ESS.build(query, grid)
-            if archive is not None:
-                save_ess(ess, archive)
+        sel_min = [min(1e-5, p.selectivity / 3.0) for p in query.epps]
+        grid = ESSGrid(query.num_epps, resolution=self.resolution,
+                       sel_min=sel_min)
+        key = (ess_cache_key(query.name, grid.resolution, sel_min,
+                             DEFAULT_COST_MODEL.fingerprint())
+               if self.cache_dir else None)
+        ess = fetch_or_build(query, grid, key=key, directory=self.cache_dir)
         bundle = {
             "ess": ess,
             "contours": ContourSet(ess),

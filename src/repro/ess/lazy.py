@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import settings
 from repro.ess.contours import ContourSet
 from repro.ess.grid import ESSGrid
 from repro.ess.ocs import ESS
@@ -57,17 +56,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.optimizer.optimizer import Optimizer
-
-def ess_class(mode):
-    """The surface class implementing an ESS mode (None: ``REPRO_ESS``)."""
-    return LazyESS if settings.get("REPRO_ESS", mode) == "lazy" else ESS
-
-
-def contour_class(mode):
-    """The contour-set class matching an ESS mode (None: ``REPRO_ESS``)."""
-    return (LazyContourSet if settings.get("REPRO_ESS", mode) == "lazy"
-            else ContourSet)
-
 
 def contours_for(ess, cost_ratio):
     """Contours of the kind matching the surface (lazy ESS → lazy set)."""

@@ -4,8 +4,12 @@ Paper Section 7: "the construction of the contours in the ESS is
 certainly a computationally intensive task ... for canned queries, it
 may be feasible to carry out an offline enumeration".  This module is
 that offline path: a built ESS (the optimizer-sweep outputs — optimal
-costs, plan identities, grid geometry) is saved to a single ``.npz``
-archive and reloaded without re-invoking the optimizer.
+costs, plan identities, grid geometry) is saved to a ``.npz`` archive
+with two ``.npy`` sidecars and reloaded without re-invoking the
+optimizer.  :func:`save_ess` / :func:`load_ess` are the only writer and
+reader of the format; the persistent cache (:mod:`repro.perf.cache`),
+``repro build --save`` and :class:`~repro.core.session.RobustSession`
+all go through them.
 
 Plan *trees* are reconstructed from their canonical identity strings,
 so the archive stays plain arrays + strings; reconstruction is exact
@@ -19,6 +23,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 
 import numpy as np
 
@@ -34,21 +39,27 @@ from repro.optimizer.plans import (
     ScanNode,
 )
 
-#: Current archive format.  Version 2 adds the content cache key
-#: (query name, grid resolution, sel_min, cost-model fingerprint,
-#: left_deep) so the persistent workload cache can verify that an
-#: archive matches the exact build parameters before trusting it.
-#: Version 3 (``save_ess(..., mmap=True)``) moves the two large arrays
-#: — ``optimal_cost`` and ``plan_ids`` — out of the compressed ``.npz``
-#: into uncompressed ``.npy`` sidecars that loads map with
-#: ``np.load(..., mmap_mode="r")``: a warm load pages cost data in on
-#: demand instead of decompressing the whole grid up front.  Sidecar
-#: file names embed a content digest, so rewriting an archive never
-#: mutates a sidecar a concurrent (or already-mmapped) reader may hold.
-#: Versions 1 and 2 are still readable.
-_FORMAT_VERSION = 2
-_MMAP_FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+#: The one archive format: a compressed ``.npz`` holding the metadata
+#: (query name, grid geometry, cost-model fingerprint and the
+#: :func:`ess_cache_key` the persistent cache verifies before trusting
+#: a hit), plan keys and grid values, beside two uncompressed ``.npy``
+#: sidecars for the large arrays — ``optimal_cost`` and ``plan_ids`` —
+#: that loads map with ``np.load(..., mmap_mode="r")``, so a warm load
+#: pages cost data in on demand instead of decompressing the whole grid.
+#: Sidecar names embed a content digest, so rewriting an archive never
+#: mutates a sidecar a concurrent (or already-mapped) reader may hold.
+#: Older (self-contained v1/v2) archives are rejected by version.
+_FORMAT_VERSION = 3
+
+#: Serializes every archive read against the rewrite-and-GC sequence in
+#: :func:`save_ess`.  Within one process (the serving tier fetches and
+#: stores from many threads) a load can therefore never observe the
+#: window where the new ``.npz`` is in place but the replaced archive's
+#: stale sidecars are being deleted, and one save's GC can never delete
+#: sidecars a concurrent save has written but not yet published.
+#: Cross-process racers keep the weaker guarantee the atomic-rename +
+#: content-addressed-sidecar protocol provides on its own.
+_IO_LOCK = threading.Lock()
 
 _JOIN_OPS = {HASH_JOIN, MERGE_JOIN, NL_JOIN, INDEX_NL_JOIN}
 _KEY_TOKEN = re.compile(r"([A-Z]+)\[([^\]]*)\]\(|([A-Z]+)\(([^()]*)\)|[(),]")
@@ -126,22 +137,23 @@ def ess_cache_key(query_name, resolution, sel_min, cost_fingerprint,
     }
 
 
-def _sidecar_names(base_path, token):
-    """Content-addressed sidecar file names for a v3 archive."""
-    base = os.path.basename(base_path)
+def _sidecar_names(path, token):
+    """Content-addressed sidecar file names for an archive."""
+    base = os.path.basename(path)
     return {
         "optimal_cost": f"{base}.{token}.cost.npy",
         "plan_ids": f"{base}.{token}.pids.npy",
     }
 
 
-def _write_sidecar(directory, name, array):
-    """Atomically write one ``.npy`` sidecar (tmp file + ``os.replace``)."""
-    final = os.path.join(directory, name)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npy.tmp")
+def _write_atomic(final, write):
+    """Write ``final`` through ``write(handle)`` on a temp file, then
+    ``os.replace`` it into place: readers see the old file or the new
+    one, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(final), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.save(handle, array)
+            write(handle)
         os.replace(tmp, final)
     except BaseException:
         try:
@@ -151,74 +163,71 @@ def _write_sidecar(directory, name, array):
         raise
 
 
-def save_ess(ess, path, cache_key=None, mmap=False, sidecar_base=None):
-    """Persist a built ESS to a ``.npz`` archive.
+def save_ess(ess, path, cache_key=None):
+    """Persist a built ESS: the ``.npz`` at ``path`` plus two sidecars.
 
     Args:
         ess: the built :class:`~repro.ess.ocs.ESS` (a lazy surface is
             fully materialized by the array coercion).
-        path: destination ``.npz`` path.
+        path: destination ``.npz`` path; the sidecars land beside it.
         cache_key: optional :func:`ess_cache_key` dict recorded in the
             archive so loads can verify build-parameter identity.
-        mmap: write format v3 — the big arrays go to uncompressed
-            ``.npy`` sidecars (each written atomically) that
-            :func:`load_ess` memory-maps.
-        sidecar_base: path whose directory/basename name the sidecars;
-            defaults to ``path``.  The persistent cache writes the
-            ``.npz`` to a temp file before renaming it into place, and
-            passes the *final* path here so sidecar names survive the
-            rename.
+
+    Every file is written atomically, sidecars strictly before the
+    ``.npz`` that references them; then the sidecars the replaced
+    archive referenced and the new one does not are deleted.  The whole
+    sequence runs under :data:`_IO_LOCK`.
     """
+    path = os.path.abspath(os.fspath(path))
+    directory = os.path.dirname(path)
     grid = ess.grid
-    meta = {
-        "format_version": _MMAP_FORMAT_VERSION if mmap else _FORMAT_VERSION,
+    arrays = {
+        "optimal_cost": np.asarray(ess.optimal_cost, dtype=float),
+        "plan_ids": np.asarray(ess.plan_ids, dtype=np.int32),
+    }
+    token = hashlib.sha256(
+        arrays["optimal_cost"].tobytes() + arrays["plan_ids"].tobytes()
+    ).hexdigest()[:12]
+    sidecars = _sidecar_names(path, token)
+    meta = json.dumps({
+        "format_version": _FORMAT_VERSION,
         "query_name": ess.query.name,
         "num_dims": grid.num_dims,
         "resolution": list(grid.resolution),
         "cost_fingerprint": ess.cost_model.fingerprint(),
         "cache_key": cache_key,
-    }
-    arrays = {
-        "optimal_cost": np.asarray(ess.optimal_cost, dtype=float),
-        "plan_ids": np.asarray(ess.plan_ids, dtype=np.int32),
-    }
+        "sidecars": sidecars,
+    })
     payload = {
         "plan_keys": np.array(ess.plan_keys, dtype=object),
         "grid_values": np.array(
             [grid.values[d] for d in range(grid.num_dims)], dtype=object
         ),
     }
-    if mmap:
-        token = hashlib.sha256(
-            arrays["optimal_cost"].tobytes() + arrays["plan_ids"].tobytes()
-        ).hexdigest()[:12]
-        base = sidecar_base or path
-        directory = os.path.dirname(os.path.abspath(base))
-        sidecars = _sidecar_names(base, token)
+    with _IO_LOCK:
+        stale = set(archive_sidecars(path)) - set(sidecars.values())
         for field, name in sidecars.items():
-            _write_sidecar(directory, name, arrays[field])
-        meta["sidecars"] = sidecars
-    else:
-        payload.update(arrays)
-    np.savez_compressed(path, meta=json.dumps(meta), **payload)
+            _write_atomic(os.path.join(directory, name),
+                          lambda handle: np.save(handle, arrays[field]))
+        _write_atomic(path, lambda handle: np.savez_compressed(
+            handle, meta=meta, **payload))
+        # Best-effort: a racing *process* already holds its inodes.
+        for name in stale:
+            try:
+                os.remove(os.path.join(directory, name))
+            except OSError:
+                pass
 
 
 def archive_sidecars(path):
-    """Sidecar file names referenced by an archive (empty for v1/v2)."""
-    with np.load(path, allow_pickle=True) as archive:
-        meta = json.loads(str(archive["meta"]))
-    return list(meta.get("sidecars", {}).values())
-
-
-def read_cache_key(path):
-    """The :func:`ess_cache_key` recorded in an archive (None for v1)."""
-    with np.load(path, allow_pickle=True) as archive:
-        meta = json.loads(str(archive["meta"]))
-    if meta.get("format_version") not in _READABLE_VERSIONS:
-        raise OptimizerError(
-            f"unsupported ESS archive version {meta.get('format_version')}"
-        )
-    return meta.get("cache_key")
+    """Sidecar file names the archive at ``path`` references (empty when
+    there is no readable archive there)."""
+    try:
+        with np.load(path, allow_pickle=True) as archive:
+            meta = json.loads(str(archive["meta"]))
+        return list(meta.get("sidecars", {}).values())
+    except Exception:
+        return []
 
 
 def load_ess(path, query, cost_model=None, expected_key=None):
@@ -232,16 +241,18 @@ def load_ess(path, query, cost_model=None, expected_key=None):
             default (must match the one used at build time for costs to
             be coherent).
         expected_key: optional :func:`ess_cache_key` dict; when given,
-            the archive must be format v2 and record exactly this key
-            (the persistent-cache integrity check).
+            the archive must record exactly this key (the
+            persistent-cache integrity check).
     """
     from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 
-    with np.load(path, allow_pickle=True) as archive:
+    with _IO_LOCK, np.load(path, allow_pickle=True) as archive:
         meta = json.loads(str(archive["meta"]))
-        if meta["format_version"] not in _READABLE_VERSIONS:
+        if meta.get("format_version") != _FORMAT_VERSION:
             raise OptimizerError(
-                f"unsupported ESS archive version {meta['format_version']}"
+                f"unsupported ESS archive version "
+                f"{meta.get('format_version')} (this build reads only "
+                f"version {_FORMAT_VERSION}; rebuild the archive)"
             )
         if expected_key is not None and meta.get("cache_key") != expected_key:
             raise OptimizerError(
@@ -262,23 +273,19 @@ def load_ess(path, query, cost_model=None, expected_key=None):
         plans = [
             parse_plan_key(str(key), query) for key in archive["plan_keys"]
         ]
-        if meta.get("sidecars"):
-            optimal_cost, plan_ids = _load_sidecars(path, meta, grid)
-        else:
-            optimal_cost = np.asarray(archive["optimal_cost"], dtype=float)
-            plan_ids = np.asarray(archive["plan_ids"], dtype=np.int32)
-        return ESS(
-            query=query,
-            grid=grid,
-            cost_model=cost_model or DEFAULT_COST_MODEL,
-            optimal_cost=optimal_cost,
-            plan_ids=plan_ids,
-            plans=plans,
-        )
+        optimal_cost, plan_ids = _load_sidecars(path, meta, grid)
+    return ESS(
+        query=query,
+        grid=grid,
+        cost_model=cost_model or DEFAULT_COST_MODEL,
+        optimal_cost=optimal_cost,
+        plan_ids=plan_ids,
+        plans=plans,
+    )
 
 
 def _load_sidecars(path, meta, grid):
-    """Memory-map a v3 archive's cost/plan arrays (read-only).
+    """Memory-map an archive's cost/plan sidecars (read-only).
 
     ``np.asarray`` on a matching-dtype memmap is a no-op, so the
     returned arrays stay lazily paged; every validation failure raises

@@ -20,7 +20,6 @@ from repro.obs.trace import (
     active_tracer,
     child_tracer,
     current_context,
-    enabled,
     install_tracer,
     span,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "active_tracer",
     "child_tracer",
     "current_context",
-    "enabled",
     "install_tracer",
     "span",
 ]

@@ -207,7 +207,6 @@ class Tracer:
     """
 
     def __init__(self, max_spans=MAX_SPANS, trace_id=None, parent_span_id=""):
-        self.enabled = True
         self.max_spans = max_spans
         self.trace_id = trace_id or os.urandom(8).hex()
         self.parent_span_id = parent_span_id
@@ -230,8 +229,6 @@ class Tracer:
         ``name`` is positional-only so an attribute may also be called
         ``name`` without colliding.
         """
-        if not self.enabled:
-            return NOOP_SPAN
         stack = self._stack()
         parent_id = stack[-1].span_id if stack else self.parent_span_id
         record = Span(
@@ -350,15 +347,10 @@ def install_tracer(tracer):
     return previous
 
 
-def enabled():
-    tracer = _TRACER
-    return tracer is not None and tracer.enabled
-
-
 def span(name, /, **attrs):
     """Open a span on the global tracer — or do nothing, cheaply."""
     tracer = _TRACER
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, **attrs)
 
@@ -378,7 +370,7 @@ def current_context():
     become the cross-process parent, then pass ``.to_wire()`` with the
     task payload."""
     tracer = _TRACER
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return None
     return tracer.context()
 

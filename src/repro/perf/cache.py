@@ -2,7 +2,7 @@
 
 Paper Section 7 flags ESS/contour construction as "a computationally
 intensive task" best amortized offline.  This module is that
-amortization: built ESS surfaces are stored as format-v3
+amortization: built ESS surfaces are stored as
 :mod:`repro.ess.persistence` archives under a cache directory, keyed by
 the full content of the build — query name, per-dimension grid
 resolution and ``sel_min`` floors, the cost model's value fingerprint,
@@ -10,9 +10,10 @@ and the plan-search space — so a repeated benchmark or test run skips
 the optimizer sweep entirely while any change to the inputs keys a
 fresh build.
 
-Archives are always format v3: compressed metadata plus uncompressed
-``.npy`` sidecars that loads memory-map, so warm loads page cost arrays
-in on demand instead of decompressing whole grids.
+:func:`fetch_or_build` is the one "fetch, else build and store" policy;
+every code path that builds an ESS (workload registry, conformance
+suite, wallclock setup, :class:`~repro.core.session.RobustSession`)
+calls it.
 
 Knobs (environment, resolved by :mod:`repro.settings`):
 
@@ -32,40 +33,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import threading
 
 from repro import settings
+from repro.ess.ocs import ESS
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
+from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 
 _ARCHIVE_SUFFIX = ".ess.npz"
 
-#: Serializes every archive read against the rewrite-and-GC sequence in
-#: :func:`store`.  Within one process (the concurrent serving tier runs
-#: fetches and stores from many threads) a fetch can therefore never
-#: observe the window where the new ``.npz`` is in place but the old
-#: archive's now-stale v3 sidecars are being deleted — without the lock
-#: a reader could open the *old* npz (still cached in an open handle or
-#: raced just before ``os.replace``) and find its sidecar gone.
-#: Cross-process racers keep the weaker best-effort guarantee the
-#: atomic-rename + content-addressed-sidecar protocol already provides.
-_IO_LOCK = threading.Lock()
 
+def archive_path(key, directory=None):
+    """Archive path for an :func:`~repro.ess.persistence.ess_cache_key`.
 
-def archive_path(key):
-    """Archive path for an :func:`~repro.ess.persistence.ess_cache_key`."""
+    ``directory`` defaults to ``REPRO_CACHE_DIR``.
+    """
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode("ascii")
     ).hexdigest()[:24]
     safe_name = "".join(
         c if c.isalnum() or c in "-_" else "-" for c in key["query_name"]
     )
-    return os.path.join(settings.get("REPRO_CACHE_DIR"),
+    return os.path.join(settings.get("REPRO_CACHE_DIR", directory),
                         f"{safe_name}-{digest}{_ARCHIVE_SUFFIX}")
 
 
-def fetch(key, query, cost_model):
+def fetch(key, query, cost_model, directory=None):
     """Load the archived ESS for ``key``, or None on miss/corruption.
 
     A hit is only trusted when the archive's recorded cache key matches
@@ -79,7 +72,7 @@ def fetch(key, query, cost_model):
         return ess
     if not settings.get("REPRO_CACHE"):
         return None
-    path = archive_path(key)
+    path = archive_path(key, directory)
     if not os.path.exists(path):
         REGISTRY.incr("ess_cache_miss")
         return None
@@ -87,7 +80,7 @@ def fetch(key, query, cost_model):
 
     try:
         with REGISTRY.phase("ess_cache_load"):
-            with obs_span("cache.load", key=key), _IO_LOCK:
+            with obs_span("cache.load", key=key):
                 ess = load_ess(path, query, cost_model=cost_model,
                                expected_key=key)
     except Exception:
@@ -98,65 +91,43 @@ def fetch(key, query, cost_model):
     return ess
 
 
-def store(ess, key):
+def store(ess, key, directory=None):
     """Persist a freshly-built ESS under ``key`` (best-effort).
 
-    Every file is written to a temporary name and atomically renamed
-    (``os.replace``), sidecars strictly before the ``.npz`` that
-    references them, so concurrent readers (pool workers racing on a
-    cold cache) can never observe a torn archive: until the
-    final rename they see the old archive or a miss, and v3 sidecar
-    names are content-addressed so a rewrite never mutates files an
-    already-open reader may have mapped.  The whole write — sidecar
-    save, stale-sidecar inventory, rename, GC — runs under
-    :data:`_IO_LOCK`, so an in-process fetch racing a rewrite can never
-    read the old archive mid-GC (half its sidecars deleted), and one
-    store's GC can never delete sidecars a concurrent store has written
-    but not yet published: the sidecars exist on disk *before* the
-    referencing ``.npz`` is renamed in, and no other thread runs
-    between the two while the lock is held.
+    :func:`~repro.ess.persistence.save_ess` writes atomically, so
+    concurrent readers (pool workers racing on a cold cache) see the old
+    archive or a miss until the new one is complete, never a torn one.
     """
     if not settings.get("REPRO_CACHE"):
         return None
-    from repro.ess.persistence import archive_sidecars, save_ess
+    from repro.ess.persistence import save_ess
 
-    path = archive_path(key)
+    path = archive_path(key, directory)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=_ARCHIVE_SUFFIX
-        )
-        os.close(fd)
-        with REGISTRY.phase("ess_cache_save"), _IO_LOCK:
-            save_ess(ess, tmp, cache_key=key, mmap=True,
-                     sidecar_base=path)
-            stale = _sidecars_of(path)
-            fresh = set(archive_sidecars(tmp))
-            os.replace(tmp, path)
-            # Drop sidecars the replaced archive referenced but the new
-            # one does not (best-effort: a racing *process* already
-            # holds inodes; racing threads are excluded by the lock).
-            for name in stale - fresh:
-                try:
-                    os.remove(os.path.join(os.path.dirname(path), name))
-                except OSError:
-                    pass
+        with REGISTRY.phase("ess_cache_save"):
+            save_ess(ess, path, cache_key=key)
     except OSError:
         return None  # read-only cache dir etc. — caching is best-effort
     REGISTRY.incr("ess_cache_store")
     return path
 
 
-def _sidecars_of(path):
-    """Sidecar names an existing archive references (empty on any error)."""
-    if not os.path.exists(path):
-        return set()
-    from repro.ess.persistence import archive_sidecars
+def fetch_or_build(query, grid, cost_model=DEFAULT_COST_MODEL, key=None,
+                   directory=None):
+    """The archived ESS for ``key``, else a fresh build that is stored.
 
-    try:
-        return set(archive_sidecars(path))
-    except Exception:
-        return set()
+    The build runs under the ``ess_build`` registry phase.  With no
+    ``key`` the cache is neither read nor written: the surface is just
+    built.
+    """
+    ess = fetch(key, query, cost_model, directory) if key else None
+    if ess is None:
+        with REGISTRY.phase("ess_build"):
+            ess = ESS.build(query, grid, cost_model=cost_model)
+        if key:
+            store(ess, key, directory)
+    return ess
 
 
 def clear():

@@ -164,11 +164,6 @@ def live_offers():
     return len(_OFFERS)
 
 
-def offer_nbytes(offer):
-    """Resident bytes of an offer's segments (the LRU accounting unit)."""
-    return int(offer.get("nbytes", 0))
-
-
 def export_for_transfer(key, ess):
     """Create shared segments for ``ess`` and return a picklable offer.
 

@@ -14,13 +14,7 @@ from repro import ContourSet, ESSGrid, PlanBouquet, SpillBound, settings
 from repro.core.aligned_bound import AlignedBound
 from repro.core.mso import evaluate_algorithm
 from repro.errors import ReproError
-from repro.ess.lazy import (
-    LazyContourSet,
-    LazyESS,
-    contour_class,
-    contours_for,
-    ess_class,
-)
+from repro.ess.lazy import LazyContourSet, LazyESS, contours_for
 from repro.ess.ocs import ESS
 from tests.conftest import fuzz_seeds, make_star_query
 
@@ -86,11 +80,10 @@ class TestModeResolution:
         with pytest.raises(ReproError, match="REPRO_ESS"):
             settings.get("REPRO_ESS")
 
-    def test_class_selectors(self):
-        assert ess_class("eager") is ESS
-        assert ess_class("lazy") is LazyESS
-        assert contour_class("eager") is ContourSet
-        assert contour_class("lazy") is LazyContourSet
+    def test_class_selectors(self, pair):
+        eager, lazy = pair
+        assert type(contours_for(eager, 2.0)) is ContourSet
+        assert type(contours_for(lazy, 2.0)) is LazyContourSet
         assert settings.SETTINGS["REPRO_ESS"].choices == ("eager", "lazy")
 
 

@@ -1,9 +1,18 @@
-"""Unit tests for the Theorem 4.6 lower-bound game."""
+"""Unit tests for the Theorem 4.6 lower bound: the game, and SB/AB on
+the constructive instance."""
 
+import numpy as np
 import pytest
 
-from repro import AdversarialGame, DiscoveryError, lower_bound_demonstration
-from repro.core.lower_bound import play_round_robin
+from repro import AdversarialGame, AlignedBound, DiscoveryError, SpillBound
+from repro.arena.adversarial import build_adversarial_instance
+from repro.core.mso import evaluate_algorithm
+
+
+def _constructive_evaluations(d):
+    instance = build_adversarial_instance(0, num_dims=d, resolution=4)
+    return [evaluate_algorithm(cls(instance.ess, instance.contours))
+            for cls in (SpillBound, AlignedBound)]
 
 
 class TestGame:
@@ -49,16 +58,18 @@ class TestGame:
 
 class TestTheorem:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
-    def test_round_robin_achieves_exactly_d(self, d):
-        assert lower_bound_demonstration(d) == pytest.approx(float(d))
+    def test_sb_and_ab_achieve_exactly_d(self, d):
+        for evaluation in _constructive_evaluations(d):
+            assert evaluation.mso == pytest.approx(float(d))
+            assert evaluation.aso == pytest.approx(float(d))
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_no_strategy_beats_d(self, d):
-        """Any probe sequence pays >= D: each candidate elimination
-        costs a full contour budget and D-1 eliminations plus one
-        confirmation are forced."""
-        game = play_round_robin(d)
-        assert game.suboptimality() >= d - 1e-9
+        """No location lets SB or AB pay < D: each probe learns one epp
+        at a full contour budget, and D-1 probes plus the final plan
+        are forced."""
+        for evaluation in _constructive_evaluations(d):
+            assert np.all(evaluation.suboptimality >= d - 1e-9)
 
     def test_cheap_probes_cannot_shortcut(self):
         game = AdversarialGame(4)

@@ -112,7 +112,7 @@ class TestDisabledPath:
     def test_span_is_shared_noop_singleton(self):
         previous = trace.install_tracer(None)
         try:
-            assert not trace.enabled()
+            assert trace.active_tracer() is None
             s = trace.span("anything", key="value")
             assert s is trace.NOOP_SPAN
             with s as inner:

@@ -136,9 +136,9 @@ class TestPersistentCache:
 
 
 class TestConcurrentArchiveIO:
-    """Regression: store()'s stale-sidecar GC vs concurrent fetch().
+    """Regression: the stale-sidecar GC of a store vs concurrent fetch().
 
-    Before store() took :data:`repro.perf.cache._IO_LOCK`, a fetch
+    Before the rewrite took :data:`repro.ess.persistence._IO_LOCK`, a fetch
     racing a rewrite could open the old archive after the rename *while*
     the GC was deleting the sidecars that archive references — a torn
     read surfacing as ``ess_cache_invalid``.  Under the lock the reader

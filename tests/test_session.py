@@ -4,6 +4,7 @@ import pytest
 
 from repro import DiscoveryError
 from repro.core.session import RobustSession
+from repro.obs.metrics import REGISTRY
 from tests.conftest import make_toy_query
 
 
@@ -21,15 +22,32 @@ class TestPreparation:
         assert first is second
         assert first["ess"].posp_size > 0
 
-    def test_persisted_archive_reused(self, tmp_path):
+    def test_persisted_archive_reused(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         query = make_toy_query()
         a = RobustSession(cache_dir=tmp_path, resolution=8)
         a.prepare(query)
-        archive = tmp_path / f"{query.name}.npz"
-        assert archive.exists()
-        b = RobustSession(cache_dir=tmp_path, resolution=8)
-        bundle = b.prepare(query)
+        assert len(list(tmp_path.glob("*.ess.npz"))) == 1
+        REGISTRY.reset()
+        try:
+            b = RobustSession(cache_dir=tmp_path, resolution=8)
+            bundle = b.prepare(query)
+            assert REGISTRY.counter("ess_cache_hit") == 1
+        finally:
+            REGISTRY.reset()
         assert bundle["ess"].posp_size == a.prepare(query)["ess"].posp_size
+
+    def test_resolution_change_rebuilds(self, tmp_path, monkeypatch):
+        """Archives are keyed by the build's content, not the query name:
+        a finer session on the same directory must not reload the
+        coarser surface an earlier session saved."""
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        query = make_toy_query()
+        coarse = RobustSession(cache_dir=tmp_path, resolution=6)
+        assert coarse.prepare(query)["ess"].grid.shape == (6, 6)
+        fine = RobustSession(cache_dir=tmp_path, resolution=12)
+        assert fine.prepare(query)["ess"].grid.shape == (12, 12)
+        assert len(list(tmp_path.glob("*.ess.npz"))) == 2
 
     def test_no_cache_dir_works(self):
         session = RobustSession(cache_dir=None, resolution=8)
