@@ -45,15 +45,16 @@ def main():
           f"{result['ab_subopt']:>10.2f} {result['ab_steps']:>11}")
 
     print("\nSpillBound's budgeted executions:")
+    epps = result["query"].epps
     for step in result["sb_report"].steps:
-        kind = (f"spill {step.spill_epp}" if step.mode == "spill"
+        kind = (f"spill {epps[step.spill_dim].name}" if step.mode == "spill"
                 else "full plan")
         status = "completed" if step.completed else "killed"
         learned = ""
         if step.learned_selectivity == step.learned_selectivity:
             learned = f"  learned sel = {step.learned_selectivity:.3g}"
         print(f"  IC{step.contour:<3} {kind:<16} budget {step.budget:>10.4g} "
-              f"spent {step.cost_spent:>10.4g}  {status}{learned}")
+              f"spent {step.charged:>10.4g}  {status}{learned}")
     print(f"\n(wall time {elapsed:.1f}s)")
 
 

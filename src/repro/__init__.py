@@ -40,13 +40,7 @@ from repro.catalog.tpcds import (
     suite_names,
     tpcds_schema,
 )
-from repro.conformance.monitors import (
-    ConformanceMonitor,
-    Violation,
-    active_monitor,
-    install_monitor,
-    monitoring,
-)
+from repro.conformance.monitors import ConformanceMonitor, Violation
 from repro.core.advisor import (
     Advice,
     EppRecommendation,
@@ -63,7 +57,6 @@ from repro.core.lower_bound import AdversarialGame
 from repro.core.validate import (
     ValidationError,
     validate_contours,
-    validate_discovery_result,
     validate_ess,
 )
 from repro.core.mso import Evaluation, evaluate_algorithm
@@ -125,11 +118,9 @@ __all__ = [
     "ESSGrid", "ESS", "ContourSet", "Contour", "AnorexicReduction",
     "save_ess", "load_ess", "bounds",
     "plan_diagram_stats", "switching_profile", "reduction_curve",
-    "validate_ess", "validate_contours", "validate_discovery_result",
-    "ValidationError",
+    "validate_ess", "validate_contours", "ValidationError",
     # conformance monitors
-    "ConformanceMonitor", "Violation", "monitoring", "install_monitor",
-    "active_monitor",
+    "ConformanceMonitor", "Violation",
     "CorrelationSpec", "CorrelatedSpillBound", "joint_correction",
     "correlated_plan_cost",
     # algorithms

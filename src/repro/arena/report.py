@@ -4,9 +4,10 @@ The arena runs the paper's guaranteed algorithms (PlanBouquet,
 SpillBound, AlignedBound) and the fixed-plan rivals of
 :mod:`repro.arena.rivals` over the *same* seeded workload set — built
 through the unchanged conformance workload registry — and reports MSO
-and ASO per algorithm per workload.  A :class:`ConformanceMonitor` is
-installed for the whole sweep, so every stock-algorithm run is checked
-against its guarantee while the rivals (which have none) are exempt;
+and ASO per algorithm per workload.  Every sweep and worst-location
+run is handed to a :class:`ConformanceMonitor`, so each stock
+algorithm is checked against its guarantee while the rivals (which
+have none) are exempt;
 the report carries the violation count so "0 violations" is an
 asserted output, not an assumption.
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.arena.profiles import as_profile
 from repro.arena.rivals import RIVAL_FACTORIES
-from repro.conformance.monitors import ConformanceMonitor, monitoring
+from repro.conformance.monitors import ConformanceMonitor
 from repro.conformance.workloads import (
     WORKLOAD_FAMILIES,
     build_conformance_instance,
@@ -168,8 +169,8 @@ def run_arena(num_workloads=20, base_seed=0, family="random",
         engine: sweep engine passed to
             :func:`~repro.core.mso.evaluate_algorithm`.
         monitor: an existing :class:`ConformanceMonitor` to record
-            into; default a fresh one (installed for the sweep either
-            way).
+            into; default a fresh one.  Every sweep and each
+            worst-location traced run is checked into it.
         use_cache: forwarded to the workload builder.
 
     Returns:
@@ -188,33 +189,34 @@ def run_arena(num_workloads=20, base_seed=0, family="random",
     mon = monitor if monitor is not None else ConformanceMonitor()
     before = len(mon.violations)
     rows = []
-    with monitoring(monitor=mon):
-        for seed in range(int(base_seed), int(base_seed) + num_workloads):
-            instance = build_conformance_instance(
-                seed, family=family, use_cache=use_cache)
-            mon.check_contour_ladder(instance.contours, engine="arena")
-            lineup = arena_algorithms(
-                instance, profile=profile, algorithms=names)
-            with mon.context(seed=seed, workload=instance.name):
-                for name, algorithm in lineup.items():
-                    evaluation = evaluate_algorithm(
-                        algorithm, engine=engine)
-                    worst = evaluation.worst_location
-                    result = algorithm.run(worst, trace=True)
-                    mon.check_run(result, algorithm, engine="arena")
-                    guarantee = None
-                    if hasattr(algorithm, "mso_guarantee"):
-                        guarantee = float(algorithm.mso_guarantee())
-                    rows.append(ArenaRow(
-                        seed=seed,
-                        workload=instance.name,
-                        family=family,
-                        num_epps=instance.num_epps,
-                        algorithm=name,
-                        mso=evaluation.mso,
-                        aso=evaluation.aso,
-                        guarantee=guarantee,
-                    ))
+    for seed in range(int(base_seed), int(base_seed) + num_workloads):
+        instance = build_conformance_instance(
+            seed, family=family, use_cache=use_cache)
+        mon.check_contour_ladder(instance.contours, engine="arena")
+        lineup = arena_algorithms(
+            instance, profile=profile, algorithms=names)
+        with mon.context(seed=seed, workload=instance.name):
+            for name, algorithm in lineup.items():
+                evaluation = evaluate_algorithm(
+                    algorithm, engine=engine)
+                mon.check_sweep(evaluation.suboptimality, algorithm,
+                                engine=evaluation.engine)
+                worst = evaluation.worst_location
+                result = algorithm.run(worst, trace=True)
+                mon.check_run(result, algorithm, engine="arena")
+                guarantee = None
+                if hasattr(algorithm, "mso_guarantee"):
+                    guarantee = float(algorithm.mso_guarantee())
+                rows.append(ArenaRow(
+                    seed=seed,
+                    workload=instance.name,
+                    family=family,
+                    num_epps=instance.num_epps,
+                    algorithm=name,
+                    mso=evaluation.mso,
+                    aso=evaluation.aso,
+                    guarantee=guarantee,
+                ))
     fresh = mon.violations[before:]
     by_invariant = {}
     for violation in fresh:

@@ -329,6 +329,7 @@ def run_wallclock(name="mini4d", row_budget=40_000, seed=11, engine="vector",
     ab_report = EngineDiscoveryDriver(AlignedBound(ess, contours), gen,
                                       engine=engine).run()
     return {
+        "query": query,
         "qa": qa,
         "oracle_cost": oracle.cost_spent,
         "oracle_rows": oracle.rows_out,

@@ -849,7 +849,8 @@ def build_parser():
                    help="in-memory surface tier budget "
                    "(default REPRO_SERVE_CACHE_MB)")
     p.add_argument("--conformance", action="store_true",
-                   help="run every request under the conformance monitor")
+                   help="check every request's result with the conformance "
+                   "monitor")
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="seconds to wait for in-flight requests on drain")
     p.add_argument("--trace-every", type=int, default=None,

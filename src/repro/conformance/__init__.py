@@ -1,28 +1,13 @@
-"""Guarantee-conformance layer: runtime invariant monitors and the
+"""Guarantee-conformance layer: the invariant checker and the
 randomized conformance suite (``repro check``).
 
-Light by design: importing this package pulls in only the monitor
-machinery (which the sweep engines and the discovery driver import for
-their no-op-when-detached hooks); the suite and its workload generator
-load lazily.
+A :class:`ConformanceMonitor` checks what its caller hands it — a
+sweep's sub-optimality array, a traced run, an executor's execution
+records — and nothing else; the algorithms, sweep engines and
+execution engines never import this package.  Importing it pulls in
+only the checker; the suite and its workload generator load lazily.
 """
 
-from repro.conformance.monitors import (
-    ConformanceMonitor,
-    Violation,
-    active_monitor,
-    install_monitor,
-    monitoring,
-    observe_engine_report,
-    observe_sweep,
-)
+from repro.conformance.monitors import ConformanceMonitor, Violation
 
-__all__ = [
-    "ConformanceMonitor",
-    "Violation",
-    "active_monitor",
-    "install_monitor",
-    "monitoring",
-    "observe_engine_report",
-    "observe_sweep",
-]
+__all__ = ["ConformanceMonitor", "Violation"]

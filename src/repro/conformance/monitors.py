@@ -10,14 +10,17 @@ each spill execution either learns an epp exactly or proves
 repeat-execution counting (Lemma 4.4).  This module turns each of those
 into a runtime check.
 
-A :class:`ConformanceMonitor` is strictly *opt-in*: the sweep engines
-and the discovery driver call the module-level ``observe_*`` hooks,
-which are no-ops unless a monitor has been installed (via
-:func:`install_monitor` or the :func:`monitoring` context manager).
-Nothing in the normal production/test path pays more than a ``None``
-check — and worlds that legitimately break a bound (e.g. the
-SI-violating :class:`~repro.ess.dependence.CorrelatedSpillBound`)
-are unaffected because they never install a monitor.
+A :class:`ConformanceMonitor` checks only what its caller hands it: a
+sweep's sub-optimality array (:meth:`~ConformanceMonitor.check_sweep`),
+a traced run (:meth:`~ConformanceMonitor.check_run`), or a list of
+:class:`~repro.core.discovery.ExecutionRecord` from any executor
+(:meth:`~ConformanceMonitor.check_records` — how engine-driven runs are
+checked).  The sweep engines, the walk and the engine driver import
+nothing from here; the conformance suite, the arena and the served
+worker call the checks on the results they produce.  Worlds that
+legitimately break a bound (e.g. the SI-violating
+:class:`~repro.ess.dependence.CorrelatedSpillBound`) simply are not
+handed to one.
 
 Violations are *recorded*, not raised: a conformance sweep should
 report every broken invariant it finds, not die on the first one.
@@ -48,12 +51,10 @@ Invariant names used in records:
   actual cost) or that do not sum to the reported total;
 * ``repeat-bound`` — more than ``D(D-1)/2`` repeat executions
   (Lemma 4.4);
-* ``sequence`` — out-of-order contours, a completion that is not the
-  final execution, or no completion at all;
+* ``sequence`` — out-of-order contours, a run ending on a killed
+  execution, or other than exactly one completed normal-mode execution;
 * ``bit-identity`` — two sweep engines disagree on the sub-optimality
   array (they must be bit-identical, ``np.array_equal``);
-* ``engine-budget`` — an engine execution overspent its kill budget,
-  or re-learnt an epp it had already learnt;
 * ``ladder-start`` — a prior-scheduled run whose first execution sits
   above the contour band holding ``qa`` (skipping a rung that was not
   a guaranteed kill), or below the schedule's own starting contour;
@@ -274,22 +275,30 @@ class ConformanceMonitor:
                 )
 
     def check_bit_identity(self, reference, other, algorithm,
-                           engines=("loop", "other")):
-        """Two sweep engines must agree bit-for-bit (np.array_equal)."""
-        self._count("bit_identity")
+                           engines=("loop", "other"),
+                           invariant="bit-identity"):
+        """Two sweeps must agree bit-for-bit (np.array_equal).
+
+        ``invariant="prior-inert"`` checks a uniform-prior sweep against
+        the plain one: ``UniformPrior`` is documented as an *exact*
+        no-op, so any float drift means a scheduling hook leaked into
+        the inert path.  Each invariant counts under its own key
+        (``bit_identity`` / ``prior_inert``).
+        """
+        self._count(invariant.replace("-", "_"))
         a = np.asarray(reference, dtype=float)
         b = np.asarray(other, dtype=float)
         if a.shape == b.shape and np.array_equal(a, b):
             return True
         if a.shape != b.shape:
-            self.record("bit-identity",
+            self.record(invariant,
                         f"{engines[1]} sweep shape {b.shape} != "
                         f"{engines[0]} shape {a.shape}",
                         algorithm, engine=engines[1])
             return False
         bad = np.flatnonzero(a != b)
         self.record(
-            "bit-identity",
+            invariant,
             f"{engines[1]} sweep differs from {engines[0]} at "
             f"{bad.size} location(s)",
             algorithm, engine=engines[1],
@@ -330,7 +339,8 @@ class ConformanceMonitor:
         records = result.executions
         if records is None:
             return
-        self._check_sequence(result, records, algorithm, engine)
+        self.check_records(records, result.total_cost, algorithm, engine,
+                           qa=result.qa_coords)
         self._check_ladder_start(result, records, algorithm, engine)
         from repro.core.plan_bouquet import PlanBouquet
         from repro.core.spill_bound import SpillBound
@@ -340,35 +350,81 @@ class ConformanceMonitor:
         elif isinstance(algorithm, SpillBound):
             self._check_spill_records(result, records, algorithm, engine)
 
-    def check_prior_inertness(self, reference, uniform_sub, algorithm,
-                              engine="batch"):
-        """A uniform-prior sweep must be bit-identical to the plain one.
+    def check_records(self, records, total_cost, algorithm, engine,
+                      qa=None):
+        """Executor-independent accounting of one run's
+        :class:`~repro.core.discovery.ExecutionRecord` list.
 
-        ``UniformPrior`` is documented as an *exact no-op*; any float
-        drift means a scheduling hook leaked into the inert path.
+        Needs no ``qa``, so it certifies any executor's log — engine
+        runs included (``EngineReport.steps``): charges sum to
+        ``total_cost``, killed executions are charged their budget and
+        completed ones at most it, contours never regress, no spill
+        touches an epp already learnt exactly (Lemma 3.1), and the run
+        ends on exactly one completed normal-mode execution.  ``qa``
+        only labels the violations.
         """
-        self._count("prior_inert")
-        a = np.asarray(reference, dtype=float)
-        b = np.asarray(uniform_sub, dtype=float)
-        if a.shape == b.shape and np.array_equal(a, b):
-            return True
-        if a.shape != b.shape:
-            self.record("prior-inert",
-                        f"uniform-prior sweep shape {b.shape} != "
-                        f"plain sweep shape {a.shape}",
-                        algorithm, engine)
-            return False
-        bad = np.flatnonzero(a != b)
-        self.record(
-            "prior-inert",
-            f"uniform-prior sweep differs from the plain sweep at "
-            f"{bad.size} location(s)",
-            algorithm, engine,
-            num_mismatches=int(bad.size),
-            first_mismatch=int(bad[0]),
-            max_abs_deviation=float(np.abs(a - b).max()),
-        )
-        return False
+        if not records:
+            self.record("sequence", "traced run recorded no executions",
+                        algorithm, engine, qa=qa)
+            return
+        total = 0.0
+        for rec in records:
+            total += rec.charged
+        if not _close(total, total_cost, RTOL):
+            self.record(
+                "charge-accounting",
+                "record charges do not sum to the reported total cost",
+                algorithm, engine, qa=qa,
+                sum_charged=total, total_cost=total_cost,
+            )
+        last = 0
+        learnt_exactly = set()
+        for k, rec in enumerate(records):
+            if rec.contour < last:
+                self.record(
+                    "sequence",
+                    f"contour order regressed ({last} -> {rec.contour})",
+                    algorithm, engine, qa=qa, execution=k,
+                )
+            last = rec.contour
+            if not rec.completed and not _close(rec.charged, rec.budget):
+                self.record(
+                    "charge-accounting",
+                    "killed execution not charged its full budget",
+                    algorithm, engine, qa=qa, execution=k,
+                    charged=rec.charged, budget=rec.budget,
+                )
+            if rec.completed and rec.charged > rec.budget * (1.0 + RTOL):
+                self.record(
+                    "charge-accounting",
+                    "completed execution charged beyond its budget",
+                    algorithm, engine, qa=qa, execution=k,
+                    charged=rec.charged, budget=rec.budget,
+                )
+            if rec.mode == "spill":
+                if rec.spill_dim in learnt_exactly:
+                    self.record(
+                        "halfspace",
+                        f"spill execution on epp {rec.spill_dim} after it "
+                        "was learnt exactly",
+                        algorithm, engine, qa=qa, execution=k,
+                        dim=rec.spill_dim,
+                    )
+                if rec.completed:
+                    learnt_exactly.add(rec.spill_dim)
+        normal_done = [k for k, r in enumerate(records)
+                       if r.completed and r.mode == "normal"]
+        if records[-1].completed is False:
+            self.record("sequence",
+                        "run ended on a killed execution",
+                        algorithm, engine, qa=qa)
+        if len(normal_done) != 1:
+            self.record(
+                "sequence",
+                f"{len(normal_done)} completed normal-mode executions "
+                "(expected exactly one, the final result)",
+                algorithm, engine, qa=qa,
+            )
 
     # -- per-record helpers --------------------------------------------
 
@@ -411,60 +467,6 @@ class ConformanceMonitor:
                 f"schedule's starting contour {start}",
                 algorithm, engine, qa=qa,
                 first_contour=int(first), start_contour=int(start),
-            )
-
-    def _check_sequence(self, result, records, algorithm, engine):
-        """Algorithm-independent record accounting."""
-        qa = result.qa_coords
-        if not records:
-            self.record("sequence", "traced run recorded no executions",
-                        algorithm, engine, qa=qa)
-            return
-        total = 0.0
-        for rec in records:
-            total += rec.charged
-        if not _close(total, result.total_cost, RTOL):
-            self.record(
-                "charge-accounting",
-                "record charges do not sum to the reported total cost",
-                algorithm, engine, qa=qa,
-                sum_charged=total, total_cost=result.total_cost,
-            )
-        last = 0
-        for k, rec in enumerate(records):
-            if rec.contour < last:
-                self.record(
-                    "sequence",
-                    f"contour order regressed ({last} -> {rec.contour})",
-                    algorithm, engine, qa=qa, execution=k,
-                )
-            last = rec.contour
-            if not rec.completed and not _close(rec.charged, rec.budget):
-                self.record(
-                    "charge-accounting",
-                    "killed execution not charged its full budget",
-                    algorithm, engine, qa=qa, execution=k,
-                    charged=rec.charged, budget=rec.budget,
-                )
-            if rec.completed and rec.charged > rec.budget * (1.0 + RTOL):
-                self.record(
-                    "charge-accounting",
-                    "completed execution charged beyond its budget",
-                    algorithm, engine, qa=qa, execution=k,
-                    charged=rec.charged, budget=rec.budget,
-                )
-        normal_done = [k for k, r in enumerate(records)
-                       if r.completed and r.mode == "normal"]
-        if records[-1].completed is False:
-            self.record("sequence",
-                        "run ended on a killed execution",
-                        algorithm, engine, qa=qa)
-        if len(normal_done) > 1:
-            self.record(
-                "sequence",
-                f"{len(normal_done)} completed normal-mode executions "
-                "(expected exactly one, the final result)",
-                algorithm, engine, qa=qa,
             )
 
     def _check_pb_records(self, result, records, algorithm, engine):
@@ -519,7 +521,6 @@ class ConformanceMonitor:
         grid = algorithm.ess.grid
         contours = algorithm.contours
         d = algorithm.num_dims
-        learned_exact = {}
         lower_bound = {}
         repeats = 0
         for k, rec in enumerate(records):
@@ -537,14 +538,6 @@ class ConformanceMonitor:
             dim = rec.spill_dim
             if not rec.fresh:
                 repeats += 1
-            if dim in learned_exact:
-                self.record(
-                    "halfspace",
-                    f"spill execution on epp {dim} after it was learnt "
-                    "exactly",
-                    algorithm, engine, qa=qa, execution=k, dim=dim,
-                )
-                continue
             if rec.penalty < 1.0 - STRICT_RTOL:
                 self.record("budget-ladder",
                             f"replacement penalty {rec.penalty} below 1",
@@ -576,7 +569,6 @@ class ConformanceMonitor:
                         algorithm, engine, qa=qa, execution=k, dim=dim,
                         learned=qa_sel, prior_bound=lower_bound[dim],
                     )
-                learned_exact[dim] = qa_sel
             else:
                 # Lemma 3.1, pruning arm: the kill proves qa.j beyond
                 # the learnable bound q_max^j.j (strictly).
@@ -604,98 +596,3 @@ class ConformanceMonitor:
                 f"the Lemma 4.4 bound D(D-1)/2 = {d * (d - 1) // 2}",
                 algorithm, engine, qa=qa,
             )
-
-    # -- engine-driven discovery ---------------------------------------
-
-    def check_engine_report(self, report, simulator, engine="engine"):
-        """Invariants of an engine-driven discovery run
-        (:class:`~repro.engine.driver.EngineReport`): spend accounting,
-        budget kills, contour order, and no re-learning."""
-        self._count("engine_reports")
-        total = 0.0
-        last = 0
-        learnt_epps = set()
-        for k, step in enumerate(report.steps):
-            total += step.cost_spent
-            if step.contour < last:
-                self.record(
-                    "sequence",
-                    f"engine contour order regressed ({last} -> "
-                    f"{step.contour})",
-                    simulator, engine, execution=k,
-                )
-            last = step.contour
-            if step.cost_spent > step.budget * (1.0 + RTOL):
-                self.record(
-                    "engine-budget",
-                    "engine execution overspent its kill budget",
-                    simulator, engine, execution=k,
-                    cost_spent=step.cost_spent, budget=step.budget,
-                )
-            if step.mode == "spill" and step.completed:
-                if step.spill_epp in learnt_epps:
-                    self.record(
-                        "engine-budget",
-                        f"epp {step.spill_epp} learnt twice",
-                        simulator, engine, execution=k,
-                    )
-                learnt_epps.add(step.spill_epp)
-        if not _close(total, report.total_cost, RTOL):
-            self.record(
-                "charge-accounting",
-                "engine step spends do not sum to the reported total",
-                simulator, engine,
-                sum_spent=total, total_cost=report.total_cost,
-            )
-        if not report.completed_plan_key:
-            self.record("sequence",
-                        "engine discovery produced no completed plan",
-                        simulator, engine)
-
-
-# ----------------------------------------------------------------------
-# Module-level attachment: the hooks the engines call
-# ----------------------------------------------------------------------
-
-_ACTIVE = None
-
-
-def active_monitor():
-    """The currently installed monitor, or None."""
-    return _ACTIVE
-
-
-def install_monitor(monitor):
-    """Install ``monitor`` (or None to detach); returns the previous
-    monitor so callers can restore it."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = monitor
-    return previous
-
-
-@contextmanager
-def monitoring(jsonl_path=None, monitor=None):
-    """Install a monitor for the duration of the block.
-
-    Yields the monitor; the previously installed one (usually None) is
-    restored on exit.
-    """
-    mon = monitor if monitor is not None else ConformanceMonitor(jsonl_path)
-    previous = install_monitor(mon)
-    try:
-        yield mon
-    finally:
-        install_monitor(previous)
-
-
-def observe_sweep(algorithm, suboptimality, engine):
-    """Sweep-engine hook: check a finished sweep if a monitor is live."""
-    if _ACTIVE is not None:
-        _ACTIVE.check_sweep(suboptimality, algorithm, engine=engine)
-
-
-def observe_engine_report(report, simulator):
-    """Discovery-driver hook: check an engine run if a monitor is live."""
-    if _ACTIVE is not None:
-        _ACTIVE.check_engine_report(report, simulator)

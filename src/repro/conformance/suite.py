@@ -2,13 +2,13 @@
 
 For each seeded workload (see :mod:`repro.conformance.workloads`) the
 suite runs PlanBouquet, SpillBound and AlignedBound through all three
-sweep engines and checks every runtime invariant through an installed
+sweep engines and hands every sweep and run it produces to a
 :class:`~repro.conformance.monitors.ConformanceMonitor`:
 
-* the **loop** reference sweep (per-location ``run(qa)``) — observed by
-  the :func:`~repro.core.mso.evaluate_algorithm` hook;
-* the **batch** frontier engine — observed inside
-  :func:`~repro.perf.batch.batched_suboptimality`, then compared
+* the **loop** reference sweep (per-location ``run(qa)``) — from
+  :func:`~repro.core.mso.evaluate_algorithm`, checked against the
+  algorithm's guarantee;
+* the **batch** frontier engine — checked the same way, then compared
   bit-for-bit against the loop reference;
 * the **parallel** multiprocess engine — invoked directly through
   :func:`~repro.perf.parallel.parallel_suboptimality` (bypassing the
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.conformance.monitors import ConformanceMonitor, install_monitor
+from repro.conformance.monitors import ConformanceMonitor
 from repro.conformance.workloads import build_conformance_instance
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
@@ -119,12 +119,21 @@ def _algorithms(instance, prior=None):
     }
 
 
+def _checked_sweep(monitor, algorithm, engine):
+    """One :func:`evaluate_algorithm` sweep, checked against the
+    algorithm's guarantee under the engine that actually ran it."""
+    evaluation = evaluate_algorithm(algorithm, engine=engine)
+    monitor.check_sweep(evaluation.suboptimality, algorithm,
+                        engine=evaluation.engine)
+    return evaluation.suboptimality
+
+
 def run_workload(seed, monitor, engines=SUITE_ENGINES, trace_samples=3,
                  use_cache=True, ess_mode=None, prior=None):
     """Run one seeded workload through every algorithm and engine.
 
-    The monitor is installed for the duration so the sweep-engine hooks
-    fire; per-execution invariants come from explicitly traced runs at
+    Every sweep is checked against its algorithm's guarantee;
+    per-execution invariants come from explicitly traced runs at
     ``trace_samples`` seed-chosen locations (always including the
     grid terminus — the worst-case corner).
 
@@ -165,55 +174,44 @@ def run_workload(seed, monitor, engines=SUITE_ENGINES, trace_samples=3,
                                size=min(trace_samples, num_points),
                                replace=False)
             samples.update(int(f) for f in extra)
-        previous = install_monitor(monitor)
-        try:
-            for label, algorithm in _algorithms(instance,
-                                                prior=prior).items():
-                per_engine = {}
-                reference = evaluate_algorithm(
-                    algorithm, engine="loop").suboptimality
-                per_engine["loop"] = "checked"
-                if prior is None and "batch" in engines:
-                    # The uniform prior must be an exact no-op: a
-                    # uniform-twin batched sweep vs the plain loop
-                    # reference, bit-for-bit.
-                    twin = type(algorithm)(ess, contours,
-                                           prior=UniformPrior())
-                    uniform_sub = evaluate_algorithm(
-                        twin, engine="batch").suboptimality
-                    inert = monitor.check_prior_inertness(
-                        reference, uniform_sub, algorithm)
-                    per_engine["uniform-prior"] = (
-                        "inert" if inert else "mismatch")
-                if "batch" in engines:
-                    batch = evaluate_algorithm(
-                        algorithm, engine="batch").suboptimality
+        for label, algorithm in _algorithms(instance, prior=prior).items():
+            per_engine = {}
+            reference = _checked_sweep(monitor, algorithm, "loop")
+            per_engine["loop"] = "checked"
+            if prior is None and "batch" in engines:
+                # The uniform prior must be an exact no-op: a
+                # uniform-twin batched sweep vs the plain loop
+                # reference, bit-for-bit.
+                twin = type(algorithm)(ess, contours, prior=UniformPrior())
+                inert = monitor.check_bit_identity(
+                    reference, _checked_sweep(monitor, twin, "batch"),
+                    algorithm, ("loop", "batch"), invariant="prior-inert")
+                per_engine["uniform-prior"] = (
+                    "inert" if inert else "mismatch")
+            if "batch" in engines:
+                identical = monitor.check_bit_identity(
+                    reference, _checked_sweep(monitor, algorithm, "batch"),
+                    algorithm, ("loop", "batch"))
+                per_engine["batch"] = (
+                    "identical" if identical else "mismatch")
+            if "parallel" in engines:
+                # None only when the pool failed: the skip is
+                # recorded, never replaced by another engine.
+                par = parallel_suboptimality(
+                    algorithm, range(num_points), PARALLEL_WORKERS)
+                if par is None:
+                    per_engine["parallel"] = "skipped"
+                else:
+                    monitor.check_sweep(par, algorithm, engine="parallel")
                     identical = monitor.check_bit_identity(
-                        reference, batch, algorithm, ("loop", "batch"))
-                    per_engine["batch"] = (
+                        reference, par, algorithm, ("loop", "parallel"))
+                    per_engine["parallel"] = (
                         "identical" if identical else "mismatch")
-                if "parallel" in engines:
-                    # None only when the pool failed: the skip is
-                    # recorded, never replaced by another engine.
-                    par = parallel_suboptimality(
-                        algorithm, range(num_points), PARALLEL_WORKERS)
-                    if par is None:
-                        per_engine["parallel"] = "skipped"
-                    else:
-                        monitor.check_sweep(par, algorithm,
-                                            engine="parallel")
-                        identical = monitor.check_bit_identity(
-                            reference, par, algorithm,
-                            ("loop", "parallel"))
-                        per_engine["parallel"] = (
-                            "identical" if identical else "mismatch")
-                for flat in sorted(samples):
-                    result = algorithm.run(flat, trace=True)
-                    monitor.check_run(result, algorithm, engine="loop")
-                    outcome.traced_runs += 1
-                outcome.engines[label] = per_engine
-        finally:
-            install_monitor(previous)
+            for flat in sorted(samples):
+                result = algorithm.run(flat, trace=True)
+                monitor.check_run(result, algorithm, engine="loop")
+                outcome.traced_runs += 1
+            outcome.engines[label] = per_engine
     return outcome
 
 

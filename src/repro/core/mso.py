@@ -26,12 +26,16 @@ class Evaluation:
         mso: empirical MSO (the array's max).
         aso: empirical ASO (the array's mean).
         worst_location: flat index achieving the MSO.
+        engine: the sweep engine that produced the array (``"batch"``,
+            ``"parallel"``, ``"vectorized"`` or ``"loop"``) — what a
+            caller's ``ConformanceMonitor.check_sweep`` labels it with.
     """
 
     suboptimality: np.ndarray
     mso: float
     aso: float
     worst_location: int
+    engine: str = ""
 
     def percentile(self, pct):
         return float(np.percentile(self.suboptimality, pct))
@@ -91,7 +95,6 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
     Returns:
         :class:`Evaluation`.
     """
-    from repro.conformance.monitors import observe_sweep
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import span as obs_span
     from repro.perf.batch import batched_suboptimality
@@ -119,7 +122,6 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
             sub = parallel_suboptimality(algorithm, flat_list,
                                          worker_count(workers))
             if sub is not None:
-                observe_sweep(algorithm, sub, "parallel")
                 used = "parallel"
         if sub is None:
             if (engine != "loop" and points is None
@@ -137,9 +139,6 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
                         "batch engine or implement run(qa)"
                     )
                 sub = loop_suboptimality(algorithm, flat_list)
-                # Batch sweeps are observed inside their engine; the
-                # parallel and reference-loop sweeps are observed here.
-                observe_sweep(algorithm, sub, "loop")
         REGISTRY.incr("sweeps", labels={"engine": used})
         REGISTRY.incr("sweep_points", len(flat_list),
                       labels={"engine": used})
@@ -150,4 +149,5 @@ def evaluate_algorithm(algorithm, points=None, workers=None, engine="auto"):
         mso=float(sub.max()),
         aso=float(sub.mean()),
         worst_location=worst,
+        engine=used,
     )

@@ -1,10 +1,10 @@
 """Runtime invariant validation for built artifacts.
 
-Downstream users (and our own fuzz tests) can hand any built ESS,
-contour set, or discovery result to these checkers and get either a
-clean bill of health or a precise description of the violated
-invariant.  The invariants are the ones the MSO analysis rests on
-(DESIGN.md §6).
+Downstream users (and our own fuzz tests) can hand any built ESS or
+contour set to these checkers and get either a clean bill of health or
+a precise description of the violated invariant.  The invariants are
+the ones the MSO analysis rests on (DESIGN.md §6).  Discovery runs are
+checked by :meth:`repro.conformance.ConformanceMonitor.check_run`.
 """
 
 from __future__ import annotations
@@ -114,34 +114,3 @@ def validate_contours(contour_set):
         raise ValidationError("contour bands do not partition the grid")
     return {"num_contours": contour_set.num_contours,
             "max_density": contour_set.max_density}
-
-
-def validate_discovery_result(result, algorithm):
-    """Check one discovery run against its algorithm's guarantee."""
-    if result.total_cost <= 0:
-        raise ValidationError("non-positive total cost")
-    if result.suboptimality < 1.0 - 1e-9:
-        raise ValidationError(
-            f"sub-optimality {result.suboptimality} below 1 — the oracle "
-            "was beaten, which is impossible"
-        )
-    guarantee = algorithm.mso_guarantee()
-    if result.suboptimality > guarantee * (1 + 1e-9):
-        raise ValidationError(
-            f"sub-optimality {result.suboptimality:.3f} exceeds the "
-            f"guarantee {guarantee:.3f}"
-        )
-    if result.executions is not None:
-        charged = sum(r.charged for r in result.executions)
-        if not np.isclose(charged, result.total_cost, rtol=1e-9):
-            raise ValidationError("trace charges do not sum to total cost")
-        contours = [r.contour for r in result.executions]
-        if contours != sorted(contours):
-            raise ValidationError("executions are not contour-ordered")
-        for record in result.executions:
-            if record.charged > record.budget * (1 + 1e-9):
-                raise ValidationError(
-                    f"execution charged {record.charged} over its budget "
-                    f"{record.budget}"
-                )
-    return {"suboptimality": result.suboptimality, "guarantee": guarantee}

@@ -17,7 +17,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.core.discovery import discover
+from repro.core.discovery import NORMAL, SPILL, ExecutionRecord, discover
 from repro.engine.spill import execute_plan, spill_root_key
 from repro.engine.vector import _apply_filters
 from repro.obs.metrics import REGISTRY
@@ -74,25 +74,16 @@ def measured_location(data_provider, query):
 
 
 @dataclass
-class EngineStep:
-    """One engine execution within a discovery run."""
-
-    contour: int
-    plan_key: str
-    mode: str
-    spill_epp: str
-    budget: float
-    cost_spent: float
-    completed: bool
-    learned_selectivity: float = float("nan")
-
-
-@dataclass
 class EngineReport:
     """Outcome of an engine-driven discovery run.
 
-    ``total_cost`` sums the engine's actual metered spend (killed
-    executions cost exactly their budget).
+    ``steps`` holds one :class:`~repro.core.discovery.ExecutionRecord`
+    per engine execution — the record the simulated walk writes, so
+    ``ConformanceMonitor.check_records`` certifies it.  ``charged`` is
+    the engine's actual metered spend (killed executions cost exactly
+    their budget) and ``total_cost`` its sum; a completed spill's
+    ``learned_selectivity`` is the selectivity the engine observed, NaN
+    on every other execution.
     """
 
     steps: list = field(default_factory=list)
@@ -108,7 +99,7 @@ class EngineReport:
 class EngineExecutor:
     """The walk's executor on the real engine: one budgeted execution is
     one :func:`~repro.engine.spill.execute_plan` run, killed at budget
-    expiry, each logged as an :class:`EngineStep` of ``report``.
+    expiry, each logged as an ``ExecutionRecord`` in ``report.steps``.
 
     (Interface: :class:`~repro.core.discovery.SimulatedExecutor`.)
     """
@@ -119,14 +110,18 @@ class EngineExecutor:
         self.engine = engine
         self.report = EngineReport()
 
-    def _execute(self, contour_index, plan_id, budget, spill_epp=None):
-        """Run one plan (``budget=None``: to the end), charge and log it;
-        a completed regular-mode run is the query's result.
+    def _execute(self, contour_index, plan_id, budget, spill_dim=None,
+                 fresh=True, penalty=1.0):
+        """Run one plan (``budget=None``: to the end; ``spill_dim``: in
+        spill mode on that epp), charge and log it; a completed
+        regular-mode run is the query's result.
 
         Returns the engine outcome and the selectivity a completed spill
         observed for its epp (NaN otherwise).
         """
         plan = self.ess.plans[plan_id]
+        spill_epp = (None if spill_dim is None
+                     else self.ess.query.epps[spill_dim].name)
         outcome = execute_plan(
             plan, self.ess.query, self.data_provider, self.ess.cost_model,
             budget=budget, spill_epp=spill_epp, engine=self.engine,
@@ -141,23 +136,26 @@ class EngineExecutor:
             learned_sel = outcome.selectivity_of(
                 spill_root_key(plan, spill_epp))
         self.report.total_cost += outcome.cost_spent
-        self.report.steps.append(EngineStep(
+        self.report.steps.append(ExecutionRecord(
             contour=contour_index,
+            plan_id=plan_id,
             plan_key=plan.key,
-            mode="normal" if spill_epp is None else "spill",
-            spill_epp=spill_epp or "",
+            mode=NORMAL if spill_dim is None else SPILL,
+            spill_dim=spill_dim,
             budget=float("inf") if budget is None else budget,
-            cost_spent=outcome.cost_spent,
+            charged=outcome.cost_spent,
             completed=outcome.completed,
             learned_selectivity=learned_sel,
+            fresh=fresh,
+            penalty=penalty,
         ))
         return outcome, learned_sel
 
     def spill(self, contour_index, step, fresh):
         dim = step.exec_dim
         outcome, learned_sel = self._execute(
-            contour_index, step.plan_id, step.budget,
-            self.ess.query.epps[dim].name,
+            contour_index, step.plan_id, step.budget, dim, fresh,
+            step.penalty,
         )
         if not outcome.completed:
             return outcome.cost_spent, None
@@ -206,8 +204,6 @@ class EngineDiscoveryDriver:
         """Drive discovery to completion on the engine: the scalar walk
         of :mod:`repro.core.discovery` from contour 1, every execution's
         outcome coming from an :class:`EngineExecutor`."""
-        from repro.conformance.monitors import observe_engine_report
-
         executor = EngineExecutor(self.ess, self.data_provider, self.engine)
         report = executor.report
         with obs_span("engine.discovery", query=self.query.name,
@@ -216,7 +212,6 @@ class EngineDiscoveryDriver:
             run_span.set_attr("steps", report.num_steps)
             run_span.set_attr("total_cost", report.total_cost)
         REGISTRY.incr("engine_discovery_runs")
-        observe_engine_report(report, self.simulator)
         return report
 
 

@@ -4,12 +4,14 @@ A traced discovery run (``algorithm.run(qa, trace=True)``) yields
 :class:`~repro.core.discovery.ExecutionRecord` objects whose natural
 axis is **charged cost**, not wall time — the paper's accounting charges
 a killed execution its full budget and a completed one its actual cost.
-This module derives the three downstream views from those records:
+This module derives the downstream views from those records:
 
-* :func:`run_records` — plain dicts with the cumulative *cost timeline*
-  (``cost_start`` / ``cost_end``) and an ``outcome`` classification
-  (``completed`` / ``budget-kill`` / ``spill-learned``), the input to
-  the budget-waterfall viewer;
+* :func:`record_row` — one record as a JSON-safe dict (``None`` for an
+  unlearnt selectivity), the row the served reply carries;
+* :func:`run_records` — :func:`record_row` dicts plus the cumulative
+  *cost timeline* (``cost_start`` / ``cost_end``) and an ``outcome``
+  classification (``completed`` / ``budget-kill`` / ``spill-learned``),
+  the input to the budget-waterfall viewer;
 * :func:`publish_run_metrics` — run semantics into the metrics
   registry: contours crossed, spill executions per epp, budget-kill
   charges, learned-bound updates;
@@ -58,6 +60,29 @@ def _epp_label(query, spill_dim):
     return f"e{spill_dim + 1}"
 
 
+def record_row(record):
+    """One :class:`~repro.core.discovery.ExecutionRecord` as a JSON-safe
+    dict: plain ints/floats/bools, ``None`` for no spill epp and for an
+    unlearnt (NaN) selectivity — a bare ``NaN`` is not JSON."""
+    learned = record.learned_selectivity
+    return {
+        "contour": int(record.contour),
+        "plan_key": record.plan_key,
+        "mode": record.mode,
+        "spill_dim": (None if record.spill_dim is None
+                      else int(record.spill_dim)),
+        "budget": float(record.budget),
+        "charged": float(record.charged),
+        "completed": bool(record.completed),
+        "learned_selectivity": (
+            None if learned is None or math.isnan(learned)
+            else float(learned)
+        ),
+        "fresh": bool(record.fresh),
+        "penalty": float(record.penalty),
+    }
+
+
 def run_records(result, query=None):
     """Flatten a traced ``DiscoveryResult`` into waterfall rows.
 
@@ -72,25 +97,14 @@ def run_records(result, query=None):
     for index, record in enumerate(result.executions or ()):
         start = cumulative
         cumulative += record.charged
-        learned = record.learned_selectivity
         rows.append({
             "index": index,
-            "contour": record.contour,
+            **record_row(record),
             "plan_id": record.plan_id,
-            "plan_key": record.plan_key,
-            "mode": record.mode,
             "epp": _epp_label(query, record.spill_dim),
-            "budget": record.budget,
-            "charged": record.charged,
-            "completed": record.completed,
             "outcome": classify_outcome(record.mode, record.completed),
             "cost_start": start,
             "cost_end": cumulative,
-            "learned_selectivity": (
-                None if learned is None or math.isnan(learned) else learned
-            ),
-            "fresh": record.fresh,
-            "penalty": record.penalty,
         })
     return rows
 

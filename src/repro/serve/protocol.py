@@ -88,7 +88,7 @@ class DiscoverRequest:
         tenant: quota bucket the request is accounted against.
         sleep_s: synthetic extra service time, cooperatively
             cancellable — load shaping for benchmarks and tests.
-        conformance: run the request under a
+        conformance: check the request's result with a
             :class:`~repro.conformance.monitors.ConformanceMonitor` and
             report violations in the response; ``None`` = server default.
         trace: force tracing on (True) or off (False) for this request;

@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from repro.bench import workloads
+from repro.conformance.monitors import ConformanceMonitor
 from repro.core.aligned_bound import AlignedBound
 from repro.core.mso import evaluate_algorithm
 from repro.core.native import NativeOptimizer
@@ -48,6 +49,7 @@ from repro.core.spill_bound import SpillBound
 from repro.errors import ReproError
 from repro.obs import trace as tracing
 from repro.obs.metrics import REGISTRY
+from repro.obs.runtrace import record_row
 from repro.perf import shm
 from repro.prior import HistoryStore, history_key, make_prior
 
@@ -281,27 +283,12 @@ def run_discovery(spec):
             if spec.get("sleep_s"):
                 _cooperative_sleep(float(spec["sleep_s"]), slot)
             run_start = time.time()
+            out["result"] = _execute(spec, instance, algorithm)
+            raw = out["result"].pop("_raw")
             if spec.get("conformance"):
-                from repro.conformance.monitors import monitoring
-
-                with monitoring() as monitor:
-                    out["result"] = _execute(spec, instance, algorithm)
-                    if spec.get("kind", "run") == "run" \
-                            and spec.get("algorithm", "sb") != "native":
-                        monitor.check_run(out["result"]["_raw"], algorithm,
-                                          engine="serve")
-                    out["conformance"] = {
-                        "checks": dict(monitor.counters),
-                        "violations": [
-                            {"invariant": v.invariant, "message": v.message}
-                            for v in monitor.violations[:10]
-                        ],
-                        "num_violations": len(monitor.violations),
-                    }
-            else:
-                out["result"] = _execute(spec, instance, algorithm)
-            raw = out["result"].pop("_raw", None)
-            if raw is not None and spec.get("algorithm", "sb") != "native":
+                out["conformance"] = _conformance(spec, algorithm, raw)
+            if spec.get("kind", "run") == "run" \
+                    and spec.get("algorithm", "sb") != "native":
                 _record_history(instance, raw)
             out["run_s"] = time.time() - run_start
     except CancelledByServer:
@@ -321,6 +308,24 @@ def run_discovery(spec):
     return out
 
 
+def _conformance(spec, algorithm, raw):
+    """Check this request's own result — the evaluate's sweep, or the
+    run's execution records — and report the monitor's verdict."""
+    monitor = ConformanceMonitor()
+    if spec.get("kind", "run") == "evaluate":
+        monitor.check_sweep(raw.suboptimality, algorithm, engine=raw.engine)
+    elif spec.get("algorithm", "sb") != "native":
+        monitor.check_run(raw, algorithm, engine="serve")
+    return {
+        "checks": dict(monitor.counters),
+        "violations": [
+            {"invariant": v.invariant, "message": v.message}
+            for v in monitor.violations[:10]
+        ],
+        "num_violations": len(monitor.violations),
+    }
+
+
 def _execute(spec, instance, algorithm):
     if spec.get("kind", "run") == "evaluate":
         with tracing.span("worker.evaluate",
@@ -335,26 +340,12 @@ def _execute(spec, instance, algorithm):
             "worst_location": int(evaluation.worst_location),
             "num_points": int(sub.size),
             "subopt_sha256": hashlib.sha256(sub.tobytes()).hexdigest(),
+            "_raw": evaluation,
         }
     qa = spec.get("qa")
     qa = tuple(qa) if qa else instance.query.true_location()
     with tracing.span("worker.run", algorithm=spec.get("algorithm", "sb")):
         result = algorithm.run(qa, trace=True)
-    executions = []
-    for rec in result.executions or ():
-        executions.append({
-            "contour": int(rec.contour),
-            "plan_key": rec.plan_key,
-            "mode": rec.mode,
-            "spill_dim": (None if rec.spill_dim is None
-                          else int(rec.spill_dim)),
-            "budget": float(rec.budget),
-            "charged": float(rec.charged),
-            "completed": bool(rec.completed),
-            "learned_selectivity": float(rec.learned_selectivity),
-            "fresh": bool(rec.fresh),
-            "penalty": float(rec.penalty),
-        })
     return {
         "qa": [float(v) for v in qa],
         "qa_coords": [int(c) for c in result.qa_coords],
@@ -366,6 +357,6 @@ def _execute(spec, instance, algorithm):
         "contours_visited": int(result.contours_visited),
         "completed_plan_key": result.completed_plan_key,
         "max_penalty": float(result.max_penalty),
-        "executions": executions,
+        "executions": [record_row(rec) for rec in result.executions or ()],
         "_raw": result,
     }

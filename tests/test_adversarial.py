@@ -19,7 +19,7 @@ from repro.arena.adversarial import (
     adversarial_knobs,
     build_adversarial_instance,
 )
-from repro.conformance.monitors import ConformanceMonitor, monitoring
+from repro.conformance.monitors import ConformanceMonitor
 from repro.conformance.workloads import (
     WORKLOAD_FAMILIES,
     build_conformance_instance,
@@ -50,8 +50,9 @@ class TestLowerBound:
         instance = _instance(num_dims)
         algorithm = cls(instance.ess, instance.contours)
         monitor = ConformanceMonitor()
-        with monitoring(monitor=monitor):
-            evaluation = evaluate_algorithm(algorithm, engine="loop")
+        evaluation = evaluate_algorithm(algorithm, engine="loop")
+        monitor.check_sweep(evaluation.suboptimality, algorithm,
+                            engine=evaluation.engine)
         assert evaluation.mso >= num_dims - 1e-9, (
             f"{label} beat the Theorem 4.6 lower bound at D={num_dims}")
         assert evaluation.mso <= algorithm.mso_guarantee() * (1 + 1e-9)

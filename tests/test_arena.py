@@ -35,7 +35,7 @@ from repro.arena.rivals import (
     ProbabilisticSelector,
 )
 from repro.cli import main
-from repro.conformance.monitors import ConformanceMonitor, monitoring
+from repro.conformance.monitors import ConformanceMonitor
 from repro.core.mso import evaluate_algorithm
 from repro.errors import ReproError
 from repro.ess.grid import ESSGrid

@@ -4,8 +4,8 @@ Three levels:
 
 * unit tests for every :class:`ConformanceMonitor` invariant, each with
   a tampered-input negative (the monitor must actually fire);
-* hook tests — the sweep engines and the discovery driver report to an
-  installed monitor, and stay strict no-ops when none is installed;
+* caller tests — the suite checks every sweep it runs (exact counters),
+  and an engine run's records pass :meth:`check_records`;
 * suite tests — seeded randomized workloads through pb/sb/ab on every
   engine come back violation-free, injection comes back not-ok, and the
   ``repro check`` CLI exits accordingly.
@@ -33,14 +33,7 @@ from repro import (
     key_column,
 )
 from repro.cli import main
-from repro.conformance.monitors import (
-    ConformanceMonitor,
-    active_monitor,
-    install_monitor,
-    monitoring,
-    observe_engine_report,
-    observe_sweep,
-)
+from repro.conformance.monitors import ConformanceMonitor
 from repro.conformance.suite import (
     INJECT_MODES,
     SUITE_ENGINES,
@@ -52,8 +45,10 @@ from repro.conformance.workloads import (
     clear_cache,
     knobs_for,
 )
+from repro.core.aligned_bound import AlignedBound
+from repro.core.discovery import ExecutionRecord
 from repro.core.mso import evaluate_algorithm
-from repro.engine.driver import EngineDiscoveryDriver, EngineReport, EngineStep
+from repro.engine.driver import EngineDiscoveryDriver
 from tests.conftest import fuzz_seeds
 
 pytestmark = pytest.mark.conformance
@@ -270,15 +265,18 @@ class TestPriorInertCheck:
     def test_identical_sweeps_pass(self, toy_sb):
         monitor = ConformanceMonitor()
         a = np.linspace(1.0, 3.0, 9)
-        assert monitor.check_prior_inertness(a, a.copy(), toy_sb)
+        assert monitor.check_bit_identity(a, a.copy(), toy_sb,
+                                          invariant="prior-inert")
         assert monitor.ok
+        assert monitor.counters == {"prior_inert": 1}
 
     def test_perturbed_uniform_sweep_fires(self, toy_sb):
         monitor = ConformanceMonitor()
         a = np.linspace(1.0, 3.0, 9)
         b = a.copy()
         b[2] = np.nextafter(b[2], 4.0)
-        assert not monitor.check_prior_inertness(a, b, toy_sb)
+        assert not monitor.check_bit_identity(a, b, toy_sb,
+                                              invariant="prior-inert")
         violation = monitor.violations[0]
         assert violation.invariant == "prior-inert"
         assert violation.details["num_mismatches"] == 1
@@ -286,31 +284,118 @@ class TestPriorInertCheck:
 
     def test_shape_mismatch_fires(self, toy_sb):
         monitor = ConformanceMonitor()
-        assert not monitor.check_prior_inertness(np.ones(4), np.ones(5),
-                                                 toy_sb)
+        assert not monitor.check_bit_identity(np.ones(4), np.ones(5), toy_sb,
+                                              invariant="prior-inert")
         assert [v.invariant for v in monitor.violations] == ["prior-inert"]
 
 
+@pytest.fixture(scope="module")
+def driver_setup():
+    """A tiny engine-backed instance for the engine-record tests."""
+    schema = Schema("confdrv", tables=[
+        Table("dim", 150, [key_column("d_id", 150)]),
+        Table("fact", 5_000, [fk_column("f_dim_id", 150, indexed=True),
+                              fk_column("f_cust_id", 200, indexed=True)]),
+        Table("cust", 200, [key_column("c_id", 200)]),
+    ], foreign_keys=[
+        ForeignKey("fact", "f_dim_id", "dim", "d_id"),
+        ForeignKey("fact", "f_cust_id", "cust", "c_id"),
+    ])
+    query = SPJQuery("confdrv2d", schema, ["dim", "fact", "cust"], joins=[
+        join("dim", "d_id", "fact", "f_dim_id", selectivity=6e-3,
+             error_prone=True),
+        join("cust", "c_id", "fact", "f_cust_id", selectivity=4e-3,
+             error_prone=True),
+    ])
+    gen = DataGenerator(schema, seed=23)
+    gen.generate_table("dim")
+    gen.generate_table("cust")
+    gen.generate_table("fact", fk_skew={"f_dim_id": 0.8})
+    ess = ESS.build(query, ESSGrid(2, resolution=8, sel_min=1e-4))
+    return gen, ess, ContourSet(ess)
+
+
+def _spill(contour, dim, budget, charged, completed=True):
+    return ExecutionRecord(
+        contour=contour, plan_id=0, plan_key="P", mode="spill",
+        spill_dim=dim, budget=budget, charged=charged, completed=completed,
+        learned_selectivity=1e-3 if completed else float("nan"))
+
+
+def _normal(contour, budget, charged, completed=True):
+    return ExecutionRecord(
+        contour=contour, plan_id=0, plan_key="P", mode="normal",
+        spill_dim=None, budget=budget, charged=charged, completed=completed)
+
+
+class TestHooks:
+    """A caller checks a sweep under the engine the sweep reports it
+    ran on (``Evaluation.engine``), so the monitor files it there."""
+
+    def test_batch_sweep_is_observed(self, toy_sb):
+        monitor = ConformanceMonitor()
+        evaluation = evaluate_algorithm(toy_sb, engine="batch")
+        assert evaluation.engine == "batch"
+        monitor.check_sweep(evaluation.suboptimality, toy_sb,
+                            engine=evaluation.engine)
+        assert monitor.counters.get("sweeps[batch]", 0) == 1
+        assert monitor.ok
+
+    def test_loop_sweep_is_observed(self, toy_sb):
+        monitor = ConformanceMonitor()
+        evaluation = evaluate_algorithm(toy_sb, engine="loop")
+        assert evaluation.engine == "loop"
+        monitor.check_sweep(evaluation.suboptimality, toy_sb,
+                            engine=evaluation.engine)
+        assert monitor.counters.get("sweeps[loop]", 0) == 1
+        assert monitor.ok
+
+
 class TestEngineReportCheck:
+    """``check_records``: the executor-independent arm that certifies
+    engine runs (``EngineReport.steps``), on hand-built records and on a
+    real engine run."""
+
+    def test_clean_records_pass(self):
+        monitor = ConformanceMonitor()
+        records = [_spill(1, 0, 10.0, 10.0, completed=False),
+                   _spill(2, 0, 20.0, 5.0), _normal(2, 20.0, 7.0)]
+        monitor.check_records(records, 22.0, "sb", "engine")
+        assert monitor.ok, monitor.violations
+
     def test_overspend_and_relearn_fire(self):
         monitor = ConformanceMonitor()
-        report = EngineReport(
-            steps=[
-                EngineStep(contour=1, plan_key="P", mode="spill",
-                           spill_epp="e1", budget=10.0, cost_spent=12.0,
-                           completed=True, learned_selectivity=1e-3),
-                EngineStep(contour=2, plan_key="P", mode="spill",
-                           spill_epp="e1", budget=20.0, cost_spent=5.0,
-                           completed=True, learned_selectivity=1e-3),
-            ],
-            total_cost=17.0,
-            completed_plan_key="",
-        )
-        monitor.check_engine_report(report, None)
-        invariants = monitor.violations_by_invariant()
-        assert "engine-budget" in invariants  # overspend + double learning
-        assert len(invariants["engine-budget"]) == 2
-        assert "sequence" in invariants  # no completed plan
+        records = [_spill(1, 0, 10.0, 12.0), _spill(2, 0, 20.0, 5.0),
+                   _normal(2, 20.0, 3.0)]
+        monitor.check_records(records, 20.0, "sb", "engine")
+        assert sorted(v.invariant for v in monitor.violations) == [
+            "charge-accounting", "halfspace"]
+        overspend, relearn = monitor.violations
+        assert overspend.details["execution"] == 0
+        assert relearn.details == {"qa": None, "execution": 1, "dim": 0}
+
+    def test_no_completion_fires(self):
+        # Ends on a completed spill, so only the "exactly one completed
+        # normal-mode execution" arm can catch the missing result.
+        monitor = ConformanceMonitor()
+        monitor.check_records([_spill(1, 0, 10.0, 5.0)], 5.0, "sb",
+                              "engine")
+        assert [v.invariant for v in monitor.violations] == ["sequence"]
+        assert "0 completed normal-mode" in monitor.violations[0].message
+
+    @pytest.mark.parametrize("cls", [SpillBound, AlignedBound])
+    def test_engine_run_passes(self, driver_setup, cls):
+        gen, ess, contours = driver_setup
+        simulator = cls(ess, contours)
+        report = EngineDiscoveryDriver(simulator, gen).run()
+        assert report.completed_plan_key
+        assert all(isinstance(step, ExecutionRecord)
+                   for step in report.steps)
+        assert any(step.mode == "spill" for step in report.steps)
+        monitor = ConformanceMonitor()
+        monitor.check_records(report.steps, report.total_cost, simulator,
+                              "engine")
+        assert monitor.ok, monitor.violations
 
 
 class TestMonitorPlumbing:
@@ -336,85 +421,6 @@ class TestMonitorPlumbing:
             pass
         monitor.check_sweep(np.array([0.5]), toy_sb)
         assert "seed" not in monitor.violations[0].details
-
-
-# ----------------------------------------------------------------------
-# Hook tests: engines and driver report to the installed monitor
-# ----------------------------------------------------------------------
-
-class TestHooks:
-    def test_hooks_are_noops_when_detached(self, toy_sb):
-        assert active_monitor() is None
-        observe_sweep(toy_sb, np.full(3, 0.5), "batch")  # would violate
-        observe_engine_report(EngineReport(), toy_sb)
-        assert active_monitor() is None
-
-    def test_batch_sweep_is_observed(self, toy_sb):
-        with monitoring() as monitor:
-            evaluate_algorithm(toy_sb, engine="batch")
-        assert monitor.counters.get("sweeps[batch]", 0) >= 1
-        assert monitor.ok
-        assert active_monitor() is None  # detached on exit
-
-    def test_loop_sweep_is_observed(self, toy_sb):
-        with monitoring() as monitor:
-            evaluate_algorithm(toy_sb, engine="loop")
-        assert monitor.counters.get("sweeps[loop]", 0) == 1
-        assert monitor.ok
-
-    def test_install_returns_previous(self):
-        first = ConformanceMonitor()
-        assert install_monitor(first) is None
-        second = ConformanceMonitor()
-        assert install_monitor(second) is first
-        assert install_monitor(None) is second
-        assert active_monitor() is None
-
-
-@pytest.fixture(scope="module")
-def driver_setup():
-    """A tiny engine-backed instance for driver-monitoring tests."""
-    schema = Schema("confdrv", tables=[
-        Table("dim", 150, [key_column("d_id", 150)]),
-        Table("fact", 5_000, [fk_column("f_dim_id", 150, indexed=True),
-                              fk_column("f_cust_id", 200, indexed=True)]),
-        Table("cust", 200, [key_column("c_id", 200)]),
-    ], foreign_keys=[
-        ForeignKey("fact", "f_dim_id", "dim", "d_id"),
-        ForeignKey("fact", "f_cust_id", "cust", "c_id"),
-    ])
-    query = SPJQuery("confdrv2d", schema, ["dim", "fact", "cust"], joins=[
-        join("dim", "d_id", "fact", "f_dim_id", selectivity=6e-3,
-             error_prone=True),
-        join("cust", "c_id", "fact", "f_cust_id", selectivity=4e-3,
-             error_prone=True),
-    ])
-    gen = DataGenerator(schema, seed=23)
-    gen.generate_table("dim")
-    gen.generate_table("cust")
-    gen.generate_table("fact", fk_skew={"f_dim_id": 0.8})
-    ess = ESS.build(query, ESSGrid(2, resolution=8, sel_min=1e-4))
-    return gen, ess, ContourSet(ess)
-
-
-class TestDriverHook:
-    def test_engine_run_is_observed(self, driver_setup):
-        gen, ess, contours = driver_setup
-        driver = EngineDiscoveryDriver(SpillBound(ess, contours), gen)
-        with monitoring() as monitor:
-            report = driver.run()
-        assert report.completed_plan_key
-        assert monitor.counters.get("engine_reports", 0) == 1
-        assert monitor.ok, monitor.violations
-
-    def test_unmonitored_run_matches_monitored(self, driver_setup):
-        gen, ess, contours = driver_setup
-        driver = EngineDiscoveryDriver(SpillBound(ess, contours), gen)
-        bare = driver.run()
-        with monitoring():
-            observed = driver.run()
-        assert bare.total_cost == observed.total_cost
-        assert bare.completed_plan_key == observed.completed_plan_key
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +470,25 @@ class TestConformanceSuite:
             assert per_engine["batch"] == "identical"
             assert per_engine["parallel"] == "identical"
         assert outcome.traced_runs >= 2 * 3
+
+    def test_workload_counters_are_exact(self):
+        # The suite hands every sweep it runs to the monitor: per
+        # algorithm one loop reference, a uniform-prior twin and a plain
+        # batched sweep, and one parallel fan-out; no other layer checks
+        # anything into it.
+        monitor = ConformanceMonitor()
+        outcome = run_workload(0, monitor, trace_samples=2)
+        assert outcome.traced_runs == 9
+        assert monitor.counters == {
+            "ladders": 1,
+            "sweeps": 12,
+            "sweeps[loop]": 3,
+            "sweeps[batch]": 6,
+            "sweeps[parallel]": 3,
+            "bit_identity": 6,
+            "prior_inert": 3,
+            "runs": 9,
+        }
 
     def test_small_suite_clean(self, tmp_path):
         path = tmp_path / "violations.jsonl"

@@ -204,7 +204,7 @@ class TestEngineExecutorSafetyNet:
         assert step.plan_key == ess.plan_keys[int(ess.plan_ids[terminus])]
         assert report.completed_plan_key == step.plan_key
         assert report.rows_out > 0
-        assert report.total_cost == step.cost_spent
+        assert report.total_cost == step.charged
         assert walk[2:4] == (top + 1, int(ess.plan_ids[terminus]))
 
     def test_tail_that_never_completes(self, setup):
@@ -248,13 +248,11 @@ def test_engine_driver_follows_contour_steps_order():
     simulator.contour_steps = logging_steps
     report = EngineDiscoveryDriver(simulator, setup.generator,
                                    engine="vector").run()
-    epps = [p.name for p in setup.query.epps]
     spills = iter([s for s in report.steps if s.mode == "spill"])
     for contour_index, dims in passes:
         for dim in dims:
             step = next(spills)
-            assert (step.contour, step.spill_epp) == (contour_index,
-                                                      epps[dim])
+            assert (step.contour, step.spill_dim) == (contour_index, dim)
             if step.completed:
                 break
     assert next(spills, None) is None

@@ -148,15 +148,15 @@ class TestEngineDiscovery:
         report = EngineDiscoveryDriver(SpillBound(ess, contours), gen).run()
         for step in report.steps:
             if not step.completed:
-                assert step.cost_spent == pytest.approx(step.budget)
+                assert step.charged == pytest.approx(step.budget)
             else:
-                assert step.cost_spent <= step.budget * (1 + 1e-9)
+                assert step.charged <= step.budget * (1 + 1e-9)
 
     def test_total_is_sum_of_steps(self, setup):
         query, gen, ess, contours = setup
         report = EngineDiscoveryDriver(SpillBound(ess, contours), gen).run()
         assert report.total_cost == pytest.approx(
-            sum(s.cost_spent for s in report.steps)
+            sum(s.charged for s in report.steps)
         )
 
     def test_engine_subopt_close_to_simulation(self, setup):

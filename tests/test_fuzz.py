@@ -17,10 +17,10 @@ from repro import (
     SpillBound,
 )
 from repro.bench.randgen import random_workload
+from repro.conformance.monitors import ConformanceMonitor
 from repro.core.validate import (
     ValidationError,
     validate_contours,
-    validate_discovery_result,
     validate_ess,
 )
 from tests.conftest import fuzz_seeds
@@ -70,10 +70,13 @@ class TestPipelineInvariants:
         points = rng.choice(ess.grid.num_points,
                             size=min(24, ess.grid.num_points),
                             replace=False)
+        monitor = ConformanceMonitor()
         for algorithm in algorithms:
             for flat in points:
                 result = algorithm.run(int(flat), trace=True)
-                validate_discovery_result(result, algorithm)
+                monitor.check_run(result, algorithm)
+        assert monitor.ok, monitor.violations
+        assert monitor.counters["runs"] == len(algorithms) * len(points)
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_sb_beats_its_guarantee_comfortably(self, seed):
@@ -107,13 +110,16 @@ class TestValidators:
     def test_validator_catches_bad_result(self, toy_sb):
         result = toy_sb.run(100)
         result.total_cost = result.optimal_cost * 1e6
-        with pytest.raises(ValidationError):
-            validate_discovery_result(result, toy_sb)
+        monitor = ConformanceMonitor()
+        monitor.check_run(result, toy_sb)
+        assert not monitor.ok
+        assert [v.invariant for v in monitor.violations] == ["mso-bound"]
 
     def test_validator_accepts_good_result(self, toy_sb):
         result = toy_sb.run(100, trace=True)
-        summary = validate_discovery_result(result, toy_sb)
-        assert summary["guarantee"] == toy_sb.mso_guarantee()
+        monitor = ConformanceMonitor()
+        monitor.check_run(result, toy_sb)
+        assert monitor.ok, monitor.violations
 
 
 # ----------------------------------------------------------------------

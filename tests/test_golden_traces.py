@@ -77,6 +77,17 @@ def _result_payload(result):
     return payload
 
 
+def _step_payload(record, query):
+    """An engine run's ExecutionRecord in the fixture's step fields: the
+    spilled epp by name (``""`` in normal mode), the charge as
+    ``cost_spent``."""
+    row = {name: _plain(getattr(record, name, None)) for name in STEP_FIELDS}
+    row["spill_epp"] = ("" if record.spill_dim is None
+                        else query.epps[record.spill_dim].name)
+    row["cost_spent"] = _plain(record.charged)
+    return row
+
+
 def _qa_spread(grid):
     """Origin, terminus and a seeded draw of interior locations."""
     rng = np.random.default_rng(QA_SEED)
@@ -130,7 +141,8 @@ def collect():
             "total_cost": float(report.total_cost),
             "rows_out": int(report.rows_out),
             "completed_plan_key": report.completed_plan_key,
-            "steps": [_fields(step, STEP_FIELDS) for step in report.steps],
+            "steps": [_step_payload(step, setup.query)
+                      for step in report.steps],
         }
     return cases
 

@@ -213,12 +213,15 @@ def test_monitor_prior_inertness_fires_on_mismatch(instance):
     monitor = ConformanceMonitor()
     sb = SpillBound(instance.ess, instance.contours)
     ref = np.ones(4, dtype=float)
-    assert monitor.check_prior_inertness(ref, ref.copy(), sb)
+    assert monitor.check_bit_identity(ref, ref.copy(), sb,
+                                      invariant="prior-inert")
     tampered = ref.copy()
     tampered[2] = 1.5
     with monitor.context(seed=0):
-        assert not monitor.check_prior_inertness(ref, tampered, sb)
+        assert not monitor.check_bit_identity(ref, tampered, sb,
+                                              invariant="prior-inert")
     assert monitor.counters.get("violations[prior-inert]", 0) == 1
+    assert monitor.counters["prior_inert"] == 2
 
 
 def test_monitor_ladder_start_fires_below_schedule(instance):

@@ -337,6 +337,30 @@ class TestSingleFlight:
         finally:
             thread.stop()
 
+    def test_run_replies_are_strict_json(self, serve_env):
+        # A run reply carries every execution record; an unlearnt
+        # selectivity must be null, not a bare NaN no strict parser
+        # accepts.
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        thread = start_server()
+        try:
+            host, port = thread.address
+            client = ServeClient(host, port)
+            for algorithm in ("sb", "pb"):
+                status, body = client.request(
+                    "POST", "/v1/discover",
+                    {"query": "2D_Q91", "algorithm": algorithm})
+                assert status == 200
+                reply = json.loads(body, parse_constant=reject)
+                records = reply["result"]["executions"]
+                assert any(r["learned_selectivity"] is None
+                           for r in records)
+            client.close()
+        finally:
+            thread.stop()
+
     def test_explicit_qa_round_trips(self, serve_env):
         thread = start_server()
         try:
