@@ -26,7 +26,6 @@ from repro.arena.profiles import (
     DEFAULT_PROFILE,
     ErrorProfile,
     as_profile,
-    profile_from_spec,
     zero_error_profile,
 )
 from repro.arena.report import (
@@ -60,7 +59,6 @@ __all__ = [
     "arena_algorithms",
     "as_profile",
     "build_adversarial_instance",
-    "profile_from_spec",
     "run_arena",
     "zero_error_profile",
 ]

@@ -92,28 +92,17 @@ class ErrorProfile:
         return flats, weights
 
     def spec(self):
-        """Picklable/hashable recipe, inverted by :func:`profile_from_spec`."""
+        """Picklable/hashable recipe, the profile's printed identity."""
         return ("error-profile", self.kind, int(self.width),
                 float(self.spread))
 
 
-def profile_from_spec(spec):
-    """Rebuild an :class:`ErrorProfile` from :meth:`ErrorProfile.spec`."""
-    if not (isinstance(spec, tuple) and len(spec) == 4
-            and spec[0] == "error-profile"):
-        raise ReproError(f"not an error-profile spec: {spec!r}")
-    _, kind, width, spread = spec
-    return ErrorProfile(width=int(width), spread=float(spread), kind=kind)
-
-
 def as_profile(profile):
-    """Coerce None / spec tuple / profile into an :class:`ErrorProfile`."""
+    """Coerce None / profile into an :class:`ErrorProfile`."""
     if profile is None:
         return DEFAULT_PROFILE
     if isinstance(profile, ErrorProfile):
         return profile
-    if isinstance(profile, tuple):
-        return profile_from_spec(profile)
     raise ReproError(
         f"cannot interpret {type(profile).__name__} as an error profile"
     )

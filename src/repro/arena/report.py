@@ -164,8 +164,8 @@ def run_arena(num_workloads=20, base_seed=0, family="random",
         algorithms: lineup override (names from
             :data:`ARENA_ALGORITHMS`); default the full lineup.
         profile: the rivals' selectivity-error profile (an
-            :class:`~repro.arena.profiles.ErrorProfile`, its spec tuple,
-            or None for the default).
+            :class:`~repro.arena.profiles.ErrorProfile`, or None for the
+            default).
         engine: sweep engine passed to
             :func:`~repro.core.mso.evaluate_algorithm`.
         monitor: an existing :class:`ConformanceMonitor` to record

@@ -157,9 +157,8 @@ def load(name, profile=None, resolution=None, cost_ratio=DEFAULT_COST_RATIO,
         ess = ess_cache.fetch_or_build(query, grid, cost_model, disk_key)
     with REGISTRY.phase("contour_build"):
         contours = contours_for(ess, cost_ratio)
-    # The archive key travels with the surface: the serving tier offers
-    # it to pool workers over shared memory under this key
-    # (repro.perf.shm).
+    # The archive key travels with the surface, for callers that fetch
+    # the same surface from the archive by hand.
     ess.provenance = {"disk_key": disk_key}
     instance = WorkloadInstance(name=name, query=query, ess=ess,
                                 contours=contours)

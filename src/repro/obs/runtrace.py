@@ -7,7 +7,8 @@ a killed execution its full budget and a completed one its actual cost.
 This module derives the downstream views from those records:
 
 * :func:`record_row` — one record as a JSON-safe dict (``None`` for an
-  unlearnt selectivity), the row the served reply carries;
+  infinite budget and an unlearnt selectivity), the row the served
+  reply carries;
 * :func:`run_records` — :func:`record_row` dicts plus the cumulative
   *cost timeline* (``cost_start`` / ``cost_end``) and an ``outcome``
   classification (``completed`` / ``budget-kill`` / ``spill-learned``),
@@ -62,8 +63,9 @@ def _epp_label(query, spill_dim):
 
 def record_row(record):
     """One :class:`~repro.core.discovery.ExecutionRecord` as a JSON-safe
-    dict: plain ints/floats/bools, ``None`` for no spill epp and for an
-    unlearnt (NaN) selectivity — a bare ``NaN`` is not JSON."""
+    dict: plain ints/floats/bools, ``None`` for no spill epp, for an
+    unbudgeted (infinite) execution and for an unlearnt (NaN)
+    selectivity — a bare ``Infinity`` or ``NaN`` is not JSON."""
     learned = record.learned_selectivity
     return {
         "contour": int(record.contour),
@@ -71,7 +73,8 @@ def record_row(record):
         "mode": record.mode,
         "spill_dim": (None if record.spill_dim is None
                       else int(record.spill_dim)),
-        "budget": float(record.budget),
+        "budget": (None if math.isinf(record.budget)
+                   else float(record.budget)),
         "charged": float(record.charged),
         "completed": bool(record.completed),
         "learned_selectivity": (

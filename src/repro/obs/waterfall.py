@@ -149,7 +149,8 @@ def _tooltip(row):
     parts = [
         f"#{row['index']} contour {row['contour']} {row['mode']}",
         f"plan {row['plan_key'] or row['plan_id']}",
-        f"budget {_fmt(row['budget'])}" if not math.isinf(row["budget"])
+        f"budget {_fmt(row['budget'])}"
+        if row["budget"] is not None and not math.isinf(row["budget"])
         else "unbudgeted",
         f"charged {_fmt(row['charged'])}",
         f"cumulative {_fmt(row['cost_end'])}",

@@ -22,10 +22,10 @@ Knobs (environment, resolved by :mod:`repro.settings`):
 * ``REPRO_CACHE=0`` — disable the persistent cache entirely (builds
   always run; nothing is written).
 
-Before touching disk, :func:`fetch` consults the shared-memory offer
-registry (:mod:`repro.perf.shm`): a discovery-server pool worker that
-holds an offer for the key attaches to the server's shared surface
-instead of re-reading the archive.
+An archive's two arrays are raw ``.npy`` sidecars that :func:`fetch`
+maps read-only, so every process that fetches one surface — the
+discovery server's pool workers included — shares its pages through the
+page cache rather than holding a private copy.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def fetch(key, query, cost_model, directory=None):
     ``key`` exactly; any read/parse failure is treated as a miss (the
     entry is rebuilt and overwritten, never propagated).
     """
-    from repro.perf import shm
-
-    ess = shm.attach_if_offered(key, query, cost_model)
-    if ess is not None:
-        return ess
     if not settings.get("REPRO_CACHE"):
         return None
     path = archive_path(key, directory)

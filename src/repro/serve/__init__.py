@@ -6,9 +6,9 @@ into a long-running server answering a stream of discovery requests
 
 * :mod:`repro.serve.protocol` — the HTTP/JSON wire protocol and
   request validation;
-* :mod:`repro.serve.surfaces` — the concurrent in-memory ESS surface
-  tier: single-flight builds keyed by content fingerprint, bounded LRU
-  eviction by resident shared-memory bytes;
+* :mod:`repro.serve.surfaces` — the concurrent ESS surface tier:
+  single-flight builds into the archive keyed by content fingerprint,
+  bounded LRU eviction by the surfaces' array bytes;
 * :mod:`repro.serve.worker` — the process-pool back-end: builds and
   discovery runs executed in pool workers with cooperative
   cancellation and per-task metrics shipping;

@@ -8,8 +8,9 @@ One :class:`DiscoveryServer` owns four moving parts:
 * a **process-pool back-end** (``ProcessPoolExecutor``) running the
   build and discovery tasks of :mod:`repro.serve.worker`, with a
   fork-inherited cancel-slot array for cooperative budget kills;
-* the **single-flight surface tier** of :mod:`repro.serve.surfaces`
-  handing built ESS surfaces to workers zero-copy;
+* the **single-flight surface tier** of :mod:`repro.serve.surfaces`:
+  each eager surface is built once into the archive cache, and workers
+  share its mmapped arrays through the page cache;
 * **admission control**: a bounded in-system request count (queue
   depth beyond the worker count) and per-tenant in-flight quotas, both
   answered with HTTP 429 — shed load at the door, never by letting the
@@ -18,7 +19,8 @@ One :class:`DiscoveryServer` owns four moving parts:
 Lifecycle: :meth:`start` binds the socket and spins the pool up;
 :meth:`stop` drains — new work is refused with 503, in-flight requests
 get ``drain_timeout_s`` to finish, stragglers are cooperatively
-killed, the pool shuts down, and every cached surface is unlinked.
+killed, the pool shuts down, and the tier is forgotten (with the
+private archive directory, if the server made one).
 
 Observability: every phase is counted/timed into the process-global
 :data:`repro.obs.metrics.REGISTRY` (each worker ships its own summary
@@ -31,6 +33,8 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -166,6 +170,7 @@ class DiscoveryServer:
         self._trace_buffer = []
         self._trace_flusher = None
         self._fingerprints = {}
+        self._archive_dir = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -181,25 +186,33 @@ class DiscoveryServer:
             "b", num_slots, lock=False
         )
         self._free_slots = list(range(num_slots))
-        # Fork, named rather than left to the platform default: the
-        # inherited cancel slots and the signal reset in init_worker
-        # assume workers are forked from this process.
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=worker.init_worker,
-            initargs=(self._cancel_slots,),
-        )
-        # Spin every worker up now: fork happens before the server gets
-        # busy, and the first requests don't pay process start-up.
-        loop = asyncio.get_running_loop()
-        await asyncio.gather(*[
-            loop.run_in_executor(self._pool, worker.warmup)
-            for _ in range(self.config.workers)
-        ])
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
+        self._archive_dir = _private_archive_dir()
+        try:
+            # Fork, named rather than left to the platform default: the
+            # inherited cancel slots and the signal reset in init_worker
+            # assume workers are forked from this process.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=worker.init_worker,
+                initargs=(self._cancel_slots, self._archive_dir),
+            )
+            # Spin every worker up now: fork happens before the server
+            # gets busy, and the first requests don't pay process
+            # start-up.
+            loop = asyncio.get_running_loop()
+            await asyncio.gather(*[
+                loop.run_in_executor(self._pool, worker.warmup)
+                for _ in range(self.config.workers)
+            ])
+            self._server = await asyncio.start_server(
+                self._handle_conn, self.config.host, self.config.port
+            )
+        except BaseException:
+            # A failed start (port taken, say) leaves no pool and no
+            # private directory behind.
+            await self.stop(drain=False)
+            raise
         self._started_at = time.time()
         REGISTRY.gauge("serve_workers", self.config.workers)
         self._publish_gauges()
@@ -239,6 +252,9 @@ class DiscoveryServer:
             self._trace_writer.join(timeout=10.0)
             self._trace_writer = None
         self.tier.close()
+        if self._archive_dir is not None:
+            shutil.rmtree(self._archive_dir, ignore_errors=True)
+            self._archive_dir = None
         self._publish_gauges()
 
     # -- cancellation --------------------------------------------------
@@ -622,7 +638,6 @@ class DiscoveryServer:
         base["surface"] = {"fingerprint": fingerprint, "mode": ess_mode,
                            "num_points": num_points, "source": "none"}
 
-        offer = None
         build_s = 0.0
         if ess_mode == "eager":
             build_start = time.time()
@@ -631,18 +646,16 @@ class DiscoveryServer:
                     # A resident surface is answered on the spot; only a
                     # miss or a coalesced wait suspends, and only those
                     # need the kill race.
-                    done, offer = self.tier.lookup(fingerprint)
+                    done = self.tier.lookup(fingerprint)
                     source = "hit"
                     if not done:
-                        done, acquired = await self._race_cancel(
+                        done, source = await self._race_cancel(
                             self.tier.acquire(
                                 fingerprint,
                                 lambda: self._build_surface(request, tracer),
                             ),
                             state,
                         )
-                        if done:
-                            offer, source = acquired
             except Exception as exc:  # build failed for the whole flight
                 return 500, dict(
                     base, outcome="error",
@@ -672,7 +685,6 @@ class DiscoveryServer:
             "prior": prior,
             "sleep_s": request.sleep_s,
             "cancel_slot": state.slot,
-            "offer": offer,
             "conformance": (self.config.conformance
                             if request.conformance is None
                             else request.conformance),
@@ -775,7 +787,7 @@ class DiscoveryServer:
         return f"{request.query}-{digest}", num_points
 
     async def _build_surface(self, request, tracer=None):
-        """Single-flight leader body: build in the pool, adopt the offer.
+        """Single-flight leader body: build in the pool, into the archive.
 
         The build's worker spans land in the *leader's* trace (coalesced
         waiters share the surface, not the spans — the build belongs to
@@ -801,9 +813,26 @@ class DiscoveryServer:
             raise ReproError(
                 result.get("error", f"build {result['outcome']}")
             )
-        offer = result.get("offer")
-        nbytes = 0 if offer is None else offer.get("nbytes", 0)
-        return offer, nbytes, result.get("num_points", 0)
+        return result.get("nbytes", 0)
+
+
+def _private_archive_dir():
+    """A fresh archive directory for the pool, or None when the
+    configured cache is on and writable.
+
+    Workers share surfaces only through the archive, so a server whose
+    cache is off or unusable gives its workers a directory of its own
+    (removed by :meth:`DiscoveryServer.stop`).
+    """
+    if settings.get("REPRO_CACHE"):
+        directory = settings.get("REPRO_CACHE_DIR")
+        try:
+            os.makedirs(directory, exist_ok=True)
+            tempfile.TemporaryFile(dir=directory).close()
+            return None
+        except OSError:
+            pass
+    return tempfile.mkdtemp(prefix="repro-serve-")
 
 
 async def serve_forever(config):

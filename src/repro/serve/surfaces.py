@@ -2,11 +2,11 @@
 
 Layered over the persistent archive cache (:mod:`repro.perf.cache`),
 this is the shared, contended resource at the heart of the discovery
-server: eager surfaces live in ``multiprocessing.shared_memory``
-segments owned by the *server* process, keyed by the same content
-fingerprint as the disk archive (:func:`repro.bench.workloads.
-surface_key`), and handed to pool workers zero-copy through the
-:mod:`repro.perf.shm` offer registry.
+server: it records which eager surfaces have been built into the
+archive, keyed by the same content fingerprint as the archive
+(:func:`repro.bench.workloads.surface_key`).  Pool workers fetch a built
+surface from the archive, whose mmapped sidecars they share through the
+page cache.
 
 Guarantees:
 
@@ -16,14 +16,12 @@ Guarantees:
   (``serve_surface_coalesced_total`` counts them).  The build runs as
   an independent asyncio task, so a leader killed by its budget does
   not abort the build the coalesced waiters depend on.
-* **bounded** — entries are evicted LRU by resident segment bytes
-  (``REPRO_SERVE_CACHE_MB``).  Eviction unlinks the segments; workers
-  holding live attachments are untouched (POSIX shm semantics), and
-  workers that attach too late fall through to the disk archive.
-* **degrading, never breaking** — a build whose shared-memory export
-  fails still resolves (offer ``None``); requests proceed and workers
-  load from the disk archive instead.  A build that fails outright is
-  forgotten, so the next request retries rather than caching the error.
+* **bounded** — entries are evicted LRU by their surfaces' array bytes
+  (``REPRO_SERVE_CACHE_MB``).  Eviction only forgets the entry: the
+  archive stays, and the next request for it is a build that fetches
+  the archive instead of sweeping.
+* **retrying, never caching an error** — a build that fails outright is
+  forgotten, so the next request retries.
 
 All tier state is touched only from the server's event loop, so no
 locks are needed here; the thread-safety burden sits in
@@ -38,24 +36,21 @@ from collections import OrderedDict
 
 from repro import settings
 from repro.obs.metrics import REGISTRY
-from repro.perf import shm
 
 #: Default resident-bytes budget for the tier (``REPRO_SERVE_CACHE_MB``).
 DEFAULT_CACHE_MB = settings.SETTINGS["REPRO_SERVE_CACHE_MB"].default
 
 
 class _Entry:
-    __slots__ = ("future", "offer", "nbytes", "num_points")
+    __slots__ = ("future", "nbytes")
 
     def __init__(self, future):
         self.future = future
-        self.offer = None
         self.nbytes = 0
-        self.num_points = 0
 
 
 class SurfaceTier:
-    """Single-flight, byte-bounded LRU cache of shared ESS surfaces."""
+    """Single-flight, byte-bounded LRU record of built ESS surfaces."""
 
     def __init__(self, limit_bytes=DEFAULT_CACHE_MB * 1024 * 1024):
         self.limit_bytes = int(limit_bytes)
@@ -88,49 +83,49 @@ class SurfaceTier:
     def lookup(self, fingerprint):
         """The hit half of :meth:`acquire`, without a coroutine.
 
-        Returns ``(True, offer_or_None)`` for a ready surface (counted
-        and LRU-touched exactly as an :meth:`acquire` hit) and
-        ``(False, None)`` otherwise, so a warm request never suspends
-        for the tier.
+        True for a ready surface (counted and LRU-touched exactly as an
+        :meth:`acquire` hit), so a warm request never suspends for the
+        tier.
         """
         if self._closed:
             raise RuntimeError("surface tier is closed")
         entry = self._entries.get(fingerprint)
         if entry is None or not entry.future.done() \
                 or entry.future.exception() is not None:
-            return False, None
+            return False
         self._entries.move_to_end(fingerprint)
         REGISTRY.incr("serve_surface_hits")
-        return True, entry.offer
+        return True
 
     async def acquire(self, fingerprint, builder):
-        """The offer for ``fingerprint``, building at most once.
+        """Make sure ``fingerprint`` is built, building at most once.
 
-        ``builder`` is a zero-argument coroutine function returning
-        ``(offer_or_None, nbytes, num_points)``; it runs in its own
-        task so requester cancellation never aborts a shared build.
+        ``builder`` is a zero-argument coroutine function returning the
+        surface's array bytes; it runs in its own task so requester
+        cancellation never aborts a shared build.
 
-        Returns ``(offer_or_None, source)`` where source is ``hit``,
-        ``coalesced`` or ``built``.  A failed build raises to the
-        caller *after* the tier forgot the entry (next request retries).
+        Returns the source: ``hit``, ``coalesced`` or ``built``.  A
+        failed build raises to the caller *after* the tier forgot the
+        entry (next request retries).
         """
-        hit, offer = self.lookup(fingerprint)
-        if hit:
-            return offer, "hit"
+        if self.lookup(fingerprint):
+            return "hit"
         entry = self._entries.get(fingerprint)
         if entry is not None:
             REGISTRY.incr("serve_surface_coalesced")
-            return await asyncio.shield(entry.future), "coalesced"
+            await asyncio.shield(entry.future)
+            return "coalesced"
         loop = asyncio.get_running_loop()
         entry = _Entry(loop.create_future())
         self._entries[fingerprint] = entry
         REGISTRY.incr("serve_surface_builds")
         loop.create_task(self._build(fingerprint, entry, builder))
-        return await asyncio.shield(entry.future), "built"
+        await asyncio.shield(entry.future)
+        return "built"
 
     async def _build(self, fingerprint, entry, builder):
         try:
-            offer, nbytes, num_points = await builder()
+            nbytes = await builder()
         except BaseException as exc:
             # Forget the entry first so a retry can start immediately,
             # then wake every waiter with the failure.
@@ -143,29 +138,21 @@ class SurfaceTier:
                 # exception would otherwise be logged as unretrieved.
                 entry.future.exception()
             return
-        if self._closed or self._entries.get(fingerprint) is not entry:
-            # close() (or an invalidate) ran while the build was in
-            # flight: nothing references this entry any more, so unlink
-            # the segments here or they leak until reboot.  Waiters (all
-            # moot by now) resolve with no offer and fall back to disk.
-            if offer is not None:
-                shm.unlink_offer(offer)
-            if not entry.future.done():
-                entry.future.set_result(None)
-            return
-        entry.offer = offer
-        entry.nbytes = int(nbytes or 0)
-        entry.num_points = int(num_points or 0)
-        self._resident += entry.nbytes
         if not entry.future.done():
-            entry.future.set_result(offer)
+            entry.future.set_result(None)
+        if self._closed or self._entries.get(fingerprint) is not entry:
+            # close() ran while the build was in flight: nothing
+            # references this entry any more, so it is not counted.
+            return
+        entry.nbytes = int(nbytes or 0)
+        self._resident += entry.nbytes
         self._evict(keep=fingerprint)
         self._publish_gauges()
 
     # -- eviction and shutdown -----------------------------------------
 
     def _evict(self, keep=None):
-        """Unlink least-recently-used ready entries over the budget.
+        """Forget least-recently-used ready entries over the budget.
 
         The entry named by ``keep`` survives even when it alone exceeds
         the budget — evicting the surface a request is about to use
@@ -185,8 +172,6 @@ class SurfaceTier:
     def _drop(self, fingerprint):
         entry = self._entries.pop(fingerprint)
         self._resident -= entry.nbytes
-        if entry.offer is not None:
-            shm.unlink_offer(entry.offer)
         REGISTRY.incr("serve_surface_evictions")
         self._publish_gauges()
 
@@ -197,11 +182,8 @@ class SurfaceTier:
             self._drop(fingerprint)
 
     def close(self):
-        """Unlink every ready surface; in-flight builds resolve moot."""
+        """Forget every ready surface; in-flight builds resolve moot."""
         self._closed = True
-        for fp in [fp for fp, e in self._entries.items()
-                   if e.future.done() and e.future.exception() is None]:
-            self._drop(fp)
         self._entries.clear()
         self._resident = 0
         self._publish_gauges()

@@ -22,12 +22,14 @@ algorithm objects its scalar runs use (:func:`_acquire_algorithm`) —
 the compile-time half of the paper's compile-time/run-time split, paid
 once per surface per worker rather than once per request.
 
-The zero-copy hand-off: a ``build`` task constructs the eager surface
-(through the persistent archive cache) and exports it via
-:func:`repro.perf.shm.export_for_transfer`; later ``discover`` tasks
-receive the offer in their spec, adopt it with
-:func:`repro.perf.shm.register_offer`, and their ``workloads.load``
-attaches over shared memory instead of re-reading or rebuilding.
+The surface hand-off is the archive itself: a ``build`` task constructs
+the eager surface through the persistent archive cache
+(:func:`repro.perf.cache.fetch_or_build`), and a later ``discover``
+task's ``workloads.load`` in any worker fetches that archive, mapping
+its array sidecars read-only, so the workers share one copy of the
+arrays through the page cache.  When the configured cache is off or
+unwritable, the server hands :func:`init_worker` a private archive
+directory of its own instead.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import time
 
 import numpy as np
 
+from repro import settings
 from repro.bench import workloads
 from repro.conformance.monitors import ConformanceMonitor
 from repro.core.aligned_bound import AlignedBound
@@ -50,7 +53,6 @@ from repro.errors import ReproError
 from repro.obs import trace as tracing
 from repro.obs.metrics import REGISTRY
 from repro.obs.runtrace import record_row
-from repro.perf import shm
 from repro.prior import HistoryStore, history_key, make_prior
 
 #: Worker-side workload memo bound: above this many cached instances
@@ -71,16 +73,26 @@ class CancelledByServer(Exception):
     """The server flipped this task's cancel slot (budget kill/drain)."""
 
 
-def init_worker(cancel_slots):
+def init_worker(cancel_slots, archive_dir=None):
     """Pool initializer: adopt the server's shared cancel-slot array.
 
     The server installs its asyncio signal handlers before it forks the
     pool, so a worker starts with the server's wake-up fd and no-op
     handlers: a signal sent to the worker would be read by the server's
     loop as its own.  Workers go back to the default dispositions.
+
+    ``archive_dir`` is the server's private archive directory, given
+    when the configured cache is off or unwritable: the worker points
+    its own environment's cache at it, so surfaces one worker builds are
+    fetched, not rebuilt, by the others.  The history store stays where
+    the configured cache would have put it.
     """
     global _CANCEL
     _CANCEL = cancel_slots
+    if archive_dir is not None:
+        settings.export("REPRO_PRIOR_STORE", HistoryStore.default_path())
+        settings.export("REPRO_CACHE", "1")
+        settings.export("REPRO_CACHE_DIR", archive_dir)
     signal.set_wakeup_fd(-1)
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, signal.SIG_DFL)
@@ -225,11 +237,10 @@ def warmup():
 
 
 def build_surface(spec):
-    """Build (or archive-load) an eager ESS and export it for transfer.
+    """Build (or archive-load) an eager ESS into the archive.
 
-    The single-flight leader's task.  ``offer`` is None when shared
-    memory is unavailable — the surface still landed in the persistent
-    archive, so discover tasks fall back to a disk load, not a rebuild.
+    The single-flight leader's task.  ``nbytes`` is the surface's array
+    bytes, which the server's tier budgets its resident entries by.
     """
     REGISTRY.reset()
     tracer, previous = _adopt_trace(spec)
@@ -240,10 +251,8 @@ def build_surface(spec):
                           query=spec.get("query", "")):
             _checkpoint(spec.get("cancel_slot"))
             instance = _load(dict(spec, ess_mode="eager"))
-            out["num_points"] = int(instance.ess.grid.num_points)
-            out["offer"] = shm.export_for_transfer(
-                instance.ess.provenance["disk_key"], instance.ess
-            )
+            out["nbytes"] = int(instance.ess.optimal_cost.nbytes
+                                + instance.ess.plan_ids.nbytes)
     except CancelledByServer:
         out["outcome"] = "killed"
     except ReproError as exc:
@@ -271,9 +280,6 @@ def run_discovery(spec):
                           kind=spec.get("kind", "run"),
                           algorithm=spec.get("algorithm", "sb")):
             _checkpoint(slot)
-            offer = spec.get("offer")
-            if offer is not None:
-                shm.register_offer(offer)
             load_start = time.time()
             with tracing.span("worker.load", query=spec.get("query", "")):
                 instance = _load(spec)

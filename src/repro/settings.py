@@ -136,6 +136,14 @@ def get(name, value=None):
     return _parse(setting, value, source)
 
 
+def export(name, value):
+    """Set ``name`` in this process's own environment (parsed as a flag
+    value would be), so every later :func:`get` here and in its
+    children resolves it."""
+    _parse(SETTINGS[name], value, f"the {name} argument")
+    os.environ[name] = str(value)
+
+
 def _parse(setting, value, source):
     text = str(value).strip()
     if setting.kind == "path":

@@ -24,7 +24,6 @@ from repro.arena.profiles import (
     DEFAULT_PROFILE,
     ErrorProfile,
     as_profile,
-    profile_from_spec,
     zero_error_profile,
 )
 from repro.arena.report import ARENA_ALGORITHMS, arena_algorithms, run_arena
@@ -146,8 +145,8 @@ class TestProfiles:
 
     def test_spec_roundtrip(self):
         profile = ErrorProfile(width=3, spread=0.5, kind="uniform")
-        assert profile_from_spec(profile.spec()) == profile
-        assert as_profile(profile.spec()) == profile
+        assert profile.spec() == ("error-profile", "uniform", 3, 0.5)
+        assert as_profile(profile) is profile
         assert as_profile(None) == DEFAULT_PROFILE
 
     def test_validation(self):

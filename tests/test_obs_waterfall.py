@@ -174,6 +174,14 @@ class TestWaterfallSvg:
         svg = waterfall_svg(rows, subtitle="toy run")
         assert svg.count("<title>") == len(rows)
 
+    def test_unbudgeted_run_renders(self, toy_ess):
+        from repro.core.native import NativeOptimizer
+
+        result = NativeOptimizer(toy_ess).run(150, trace=True)
+        rows = result.waterfall_rows(toy_ess.query)
+        assert [row["budget"] for row in rows] == [None]  # strict JSON
+        assert "unbudgeted" in waterfall_svg(rows)
+
 
 class TestWaterfallHtml:
     def test_self_contained_document(self):

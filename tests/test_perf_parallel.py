@@ -151,3 +151,22 @@ class TestParallelSweep:
         _assert_fans_out_like_loop(
             lambda: AlignedBound(instance.ess, instance.contours),
             points=[0, 9, 42, 55, 99])
+
+
+class TestForcedParallelIdentity:
+    def test_parallel_sweep_matches_batch(self, isolated_cache):
+        """End to end: forked workers sweep the parent's surface and the
+        result is bit-identical to serial."""
+        instance = workloads.load("2D_Q42", profile="smoke")
+        serial = evaluate_algorithm(
+            SpillBound(instance.ess, instance.contours), engine="batch"
+        )
+        before = REGISTRY.counter("parallel_sweeps")
+        parallel = evaluate_algorithm(
+            SpillBound(instance.ess, instance.contours),
+            workers=2, engine="parallel",
+        )
+        assert np.array_equal(serial.suboptimality, parallel.suboptimality)
+        assert serial.mso == parallel.mso
+        assert serial.worst_location == parallel.worst_location
+        assert REGISTRY.counter("parallel_sweeps") == before + 1

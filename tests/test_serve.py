@@ -18,6 +18,7 @@ from tests.conftest import fuzz_seeds
 from repro.bench import workloads
 from repro.core.mso import evaluate_algorithm
 from repro.core.spill_bound import SpillBound
+from repro.obs.metrics import REGISTRY
 from repro.serve import protocol
 from repro.serve.loadgen import (
     ServeClient,
@@ -186,20 +187,18 @@ class TestSurfaceTier:
             async def builder():
                 builds.append(1)
                 await asyncio.sleep(0.02)
-                return {"key": "k", "segments": {}}, 100, 10
+                return 100
 
-            results = await asyncio.gather(*[
+            sources = await asyncio.gather(*[
                 tier.acquire("fp", builder) for _ in range(8)
             ])
-            return builds, results
+            return builds, sources, tier
 
-        builds, results = asyncio.run(scenario())
+        builds, sources, tier = asyncio.run(scenario())
         assert len(builds) == 1
-        sources = sorted(source for _, source in results)
         assert sources.count("built") == 1
         assert sources.count("coalesced") == 7
-        assert all(offer == {"key": "k", "segments": {}}
-                   for offer, _ in results)
+        assert tier.resident_bytes == 100
 
     def test_failed_build_forgotten_then_retried(self):
         async def scenario():
@@ -211,63 +210,60 @@ class TestSurfaceTier:
                 raise RuntimeError("boom")
 
             async def working():
-                return None, 0, 10
+                return 0
 
             with pytest.raises(RuntimeError):
                 await tier.acquire("fp", failing)
-            offer, source = await tier.acquire("fp", working)
-            return attempts, offer, source
+            return attempts, await tier.acquire("fp", working)
 
-        attempts, offer, source = asyncio.run(scenario())
+        attempts, source = asyncio.run(scenario())
         assert len(attempts) == 1
-        assert offer is None and source == "built"
+        assert source == "built"
 
-    def test_lru_eviction_unlinks_by_bytes(self, monkeypatch):
-        unlinked = []
-        monkeypatch.setattr("repro.serve.surfaces.shm.unlink_offer",
-                            lambda offer: unlinked.append(offer["key"]))
+    @staticmethod
+    def _evictions():
+        return REGISTRY.counter("serve_surface_evictions")
+
+    def test_lru_eviction_unlinks_by_bytes(self):
+        before = self._evictions()
 
         async def scenario():
             tier = SurfaceTier(limit_bytes=250)
 
-            def make_builder(key, nbytes):
-                async def builder():
-                    return {"key": key, "segments": {}}, nbytes, 1
-                return builder
+            async def builder():
+                return 100
 
-            await tier.acquire("a", make_builder("a", 100))
-            await tier.acquire("b", make_builder("b", 100))
+            await tier.acquire("a", builder)
+            await tier.acquire("b", builder)
             # Touch "a" so "b" is the LRU victim when "c" overflows.
-            assert (await tier.acquire("a", make_builder("a", 100)))[1] \
-                == "hit"
-            await tier.acquire("c", make_builder("c", 100))
-            return tier
+            assert await tier.acquire("a", builder) == "hit"
+            await tier.acquire("c", builder)
+            return tier, {fp: tier.lookup(fp) for fp in "abc"}
 
-        tier = asyncio.run(scenario())
-        assert unlinked == ["b"]
+        tier, resident = asyncio.run(scenario())
+        assert resident == {"a": True, "b": False, "c": True}
         assert tier.resident_bytes == 200
+        assert self._evictions() == before + 1
 
-    def test_oversized_entry_never_self_evicts(self, monkeypatch):
-        unlinked = []
-        monkeypatch.setattr("repro.serve.surfaces.shm.unlink_offer",
-                            lambda offer: unlinked.append(offer["key"]))
+    def test_oversized_entry_never_self_evicts(self):
+        before = self._evictions()
 
         async def scenario():
             tier = SurfaceTier(limit_bytes=50)
 
             async def builder():
-                return {"key": "big", "segments": {}}, 1000, 1
+                return 1000
 
-            offer, _ = await tier.acquire("big", builder)
-            return offer
+            source = await tier.acquire("big", builder)
+            return tier, source
 
-        offer = asyncio.run(scenario())
-        assert offer is not None and unlinked == []
+        tier, source = asyncio.run(scenario())
+        assert source == "built" and tier.lookup("big")
+        assert tier.resident_bytes == 1000
+        assert self._evictions() == before
 
-    def test_close_during_inflight_build_unlinks(self, monkeypatch):
-        unlinked = []
-        monkeypatch.setattr("repro.serve.surfaces.shm.unlink_offer",
-                            lambda offer: unlinked.append(offer["key"]))
+    def test_close_during_inflight_build_unlinks(self):
+        before = self._evictions()
 
         async def scenario():
             tier = SurfaceTier(limit_bytes=1 << 20)
@@ -275,21 +271,21 @@ class TestSurfaceTier:
 
             async def builder():
                 await release.wait()
-                return {"key": "late", "segments": {}}, 100, 1
+                return 100
 
             acquire = asyncio.ensure_future(tier.acquire("fp", builder))
             await asyncio.sleep(0.01)  # the build task is in flight
             tier.close()
             release.set()
-            offer, _ = await acquire
-            return tier, offer
+            return tier, await acquire
 
-        tier, offer = asyncio.run(scenario())
-        # The tier no longer references the entry, so the segments must
-        # be unlinked here or they outlive the server in /dev/shm.
-        assert unlinked == ["late"]
-        assert offer is None  # moot waiters degrade to the disk path
+        tier, source = asyncio.run(scenario())
+        # The closed tier forgot the entry: the moot build is neither
+        # resident nor counted as an eviction.
+        assert source == "built"
         assert tier.resident_bytes == 0
+        assert tier.stats()["entries"] == 0
+        assert self._evictions() == before
 
 
 class TestSingleFlight:
@@ -339,8 +335,8 @@ class TestSingleFlight:
 
     def test_run_replies_are_strict_json(self, serve_env):
         # A run reply carries every execution record; an unlearnt
-        # selectivity must be null, not a bare NaN no strict parser
-        # accepts.
+        # selectivity and native's unbudgeted execution must be null,
+        # not a bare NaN or Infinity no strict parser accepts.
         def reject(constant):
             raise ValueError(f"non-JSON constant {constant}")
 
@@ -348,7 +344,7 @@ class TestSingleFlight:
         try:
             host, port = thread.address
             client = ServeClient(host, port)
-            for algorithm in ("sb", "pb"):
+            for algorithm in ("sb", "pb", "native"):
                 status, body = client.request(
                     "POST", "/v1/discover",
                     {"query": "2D_Q91", "algorithm": algorithm})
@@ -357,6 +353,8 @@ class TestSingleFlight:
                 records = reply["result"]["executions"]
                 assert any(r["learned_selectivity"] is None
                            for r in records)
+                if algorithm == "native":
+                    assert [r["budget"] for r in records] == [None]
             client.close()
         finally:
             thread.stop()
@@ -376,6 +374,79 @@ class TestSingleFlight:
             client.close()
         finally:
             thread.stop()
+
+
+class TestPrivateArchive:
+    """With no usable archive cache the server still builds each surface
+    once: its workers share a private archive directory it removes at
+    shutdown."""
+
+    @pytest.mark.parametrize("unusable", ["cache_off", "dir_is_a_file"])
+    def test_surface_built_once_across_workers(
+            self, serve_env, tmp_path, monkeypatch, unusable):
+        import os
+
+        if unusable == "cache_off":
+            monkeypatch.setenv("REPRO_CACHE", "0")
+        else:
+            # A regular file defeats makedirs, even for root.
+            blocker = tmp_path / "not-a-dir"
+            blocker.write_text("")
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        thread = start_server(workers=2)
+        try:
+            private = thread.server._archive_dir
+            assert private is not None and os.path.isdir(private)
+            host, port = thread.address
+            client = ServeClient(host, port)
+            before = client.metrics_text()
+            replies = concurrent_discover(
+                host, port,
+                [{"query": "2D_Q91", "sleep_s": 0.2} for _ in range(4)])
+            replies += [client.discover({"query": "2D_Q91"})
+                        for _ in range(4)]
+            after = client.metrics_text()
+            client.close()
+            assert all(status == 200 and obj["outcome"] == "ok"
+                       for status, obj in replies)
+            assert len({obj["worker_pid"] for _, obj in replies}) == 2
+            label = {"phase": "ess_build"}
+            assert (scrape_counter(after, "repro_phase_runs_total", label)
+                    - scrape_counter(before, "repro_phase_runs_total",
+                                     label)) == 1
+            # The tier budgets the surface's 12 array bytes per point.
+            num_points = replies[0][1]["surface"]["num_points"]
+            assert thread.server.tier.resident_bytes == 12 * num_points
+        finally:
+            thread.stop()
+        assert not os.path.exists(private)
+        solo = json.dumps(solo_result("2D_Q91", profile="smoke"),
+                          sort_keys=True)
+        assert all(json.dumps(obj["result"], sort_keys=True) == solo
+                   for _, obj in replies)
+
+
+    def test_failed_start_leaves_no_private_directory(
+            self, serve_env, tmp_path, monkeypatch):
+        import socket
+        import tempfile
+
+        from repro.errors import ReproError
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            thread = ServerThread(ServeConfig.from_env(
+                profile="smoke", workers=1, port=taken.getsockname()[1]))
+            try:
+                with pytest.raises(ReproError, match="failed to start"):
+                    thread.start()
+            finally:
+                thread.stop()
+        assert not any(p.name.startswith("repro-serve-")
+                       for p in tmp_path.iterdir())
 
 
 class TestAdmission:
@@ -761,7 +832,7 @@ def worker_spec(query, **fields):
     spec = {"query": query, "algorithm": "sb", "kind": "run", "qa": None,
             "engine": "auto", "profile": "smoke", "resolution": None,
             "ess_mode": "eager", "prior": "uniform", "sleep_s": 0.0,
-            "cancel_slot": None, "offer": None, "conformance": False}
+            "cancel_slot": None, "conformance": False}
     spec.update(fields)
     return spec
 
