@@ -31,7 +31,6 @@ location.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -307,6 +306,8 @@ class SpillBound:
         """The states' effective slices as :class:`SiblingSlices`, one
         per learnt-dimension set with a non-empty slice: the contour
         rows matching some sibling's learnt coordinates exactly."""
+        if not len(contour.coords):
+            return
         by_dims = {}
         for number, key in enumerate(learned_keys):
             dims, values = zip(*key) if key else ((), ())
@@ -314,15 +315,19 @@ class SpillBound:
             numbers.append(number)
             learnt.append(values)
         for dims, (numbers, learnt) in by_dims.items():
-            order, runs, radix = self._slice_index(contour, dims)
-            states, pieces = [], []
-            for number, values in zip(numbers, learnt):
-                run = runs.get(sum(map(operator.mul, values, radix)))
-                if run is not None:
-                    states.append(number)
-                    pieces.append(order[run[0]:run[1]])
-            if not pieces:
+            order, codes, bounds, radix = self._slice_index(contour, dims)
+            want = np.asarray(learnt, dtype=np.int64).reshape(
+                len(learnt), len(dims)) @ radix
+            # Every code fits the index's dtype: values are grid indices.
+            pos = np.searchsorted(codes, want.astype(codes.dtype))
+            pos = np.minimum(pos, len(codes) - 1)
+            hit = np.flatnonzero(codes[pos] == want)
+            if not len(hit):
                 continue
+            states = [numbers[i] for i in hit.tolist()]
+            pos = pos[hit]
+            pieces = [order[low:high] for low, high in zip(
+                bounds[pos].tolist(), bounds[pos + 1].tolist())]
             rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             yield SiblingSlices(
                 states,
@@ -336,12 +341,15 @@ class SpillBound:
     def _slice_index(self, contour, dims):
         """The contour's rows grouped by their coordinates on ``dims``.
 
-        Returns ``(order, runs, radix)``: the row numbers sorted (stably,
-        so rows ascend within a group) by the mixed-radix code
-        ``coords[:, dims] @ radix``, and per code present its run
-        ``order[low:high]`` — every possible sibling's effective slice.
-        Cached at a few bytes a row: the scalar walk meets a dimension
-        set again with other coordinates, and then pays a dict lookup.
+        Returns ``(order, codes, bounds, radix)``: the row numbers
+        sorted (stably, so rows ascend within a group) by the
+        mixed-radix code ``coords[:, dims] @ radix``, the codes present
+        in ascending order, and per code ``codes[k]`` its run
+        ``order[bounds[k]:bounds[k + 1]]`` — every possible sibling's
+        effective slice.  ``order``, ``codes`` and ``bounds`` are the
+        narrowest integers that hold them, a few bytes a row: the scalar
+        walk meets a dimension set again with other coordinates, and
+        then pays one ``searchsorted``.
         """
         cached = self._slice_indexes.get((contour.index, dims))
         if cached is None:
@@ -352,18 +360,19 @@ class SpillBound:
             code = np.zeros(len(contour.coords), dtype=np.int64)
             for dim, weight in zip(dims, radix):
                 code += contour.coords[:, dim] * weight
-            # numpy's stable sort is a radix sort on narrow integers.
             space = radix[0] * resolution[dims[0]] if dims else 1
-            order = np.argsort(
-                code.astype(np.min_scalar_type(space)), kind="stable"
-            ) if dims else np.arange(len(code))
+            code = code.astype(np.min_scalar_type(space))
+            # numpy's stable sort is a radix sort on narrow integers.
+            order = np.argsort(code, kind="stable") if dims \
+                else np.arange(len(code))
             code = code[order]
-            bounds = np.append(run_starts(code), len(code)).tolist()
+            starts = run_starts(code)
             cached = self._slice_indexes[contour.index, dims] = (
                 order.astype(np.min_scalar_type(len(order))),
-                dict(zip(code[bounds[:-1]].tolist(),
-                         zip(bounds, bounds[1:]))),
-                radix,
+                code[starts],
+                np.append(starts, len(code)).astype(
+                    np.min_scalar_type(len(code))),
+                np.asarray(radix, dtype=np.int64),
             )
         return cached
 

@@ -276,8 +276,11 @@ def http_payload(status, body, content_type="application/json",
 
 
 def json_payload(status, obj, close=False):
-    """An HTTP response whose body is ``obj`` rendered as JSON."""
-    body = json.dumps(obj, sort_keys=True).encode("utf-8")
+    """An HTTP response whose body is ``obj`` rendered as strict JSON.
+
+    Raises ValueError if ``obj`` holds a NaN or an infinity.
+    """
+    body = json.dumps(obj, sort_keys=True, allow_nan=False).encode("utf-8")
     return http_payload(status, body, close=close)
 
 

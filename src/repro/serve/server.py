@@ -412,8 +412,7 @@ class DiscoveryServer:
                     400, {"outcome": "invalid",
                           "error": f"bad JSON body: {exc}"},
                 )
-            status, obj = await self.discover(decoded)
-            return status, protocol.json_payload(status, obj)
+            return await self.discover(decoded)
         return 404, protocol.json_payload(
             404, {"outcome": "invalid", "error": f"no route {method} {path}"}
         )
@@ -437,7 +436,8 @@ class DiscoveryServer:
         return every > 0 and self._seq % every == 0
 
     async def discover(self, payload):
-        """One ``/v1/discover`` request: ``(http_status, response_obj)``."""
+        """One ``/v1/discover`` request: ``(http_status, payload)``, the
+        payload the HTTP response bytes."""
         received = time.time()
         self._seq += 1
         try:
@@ -446,7 +446,8 @@ class DiscoveryServer:
             REGISTRY.incr("serve_requests",
                           labels={"outcome": "invalid"})
             self.dash.record(outcome="invalid", total_s=0.0)
-            return 400, {"outcome": "invalid", "error": str(exc)}
+            return 400, protocol.json_payload(
+                400, {"outcome": "invalid", "error": str(exc)})
         rejection = self._admission_error(request)
         if rejection is not None:
             status, reason = rejection
@@ -456,14 +457,15 @@ class DiscoveryServer:
             self.dash.record(outcome="rejected", reason=reason,
                              query=request.query, tenant=request.tenant,
                              total_s=0.0, inflight=self._inflight)
-            return status, {
+            return status, protocol.json_payload(status, {
                 "outcome": "rejected", "reason": reason,
                 "query": request.query, "tenant": request.tenant,
-            }
+            })
         state = self._alloc_state()
         if state is None:  # exhausted slots (admission should prevent it)
             REGISTRY.incr("serve_rejected", labels={"reason": "queue_full"})
-            return 429, {"outcome": "rejected", "reason": "queue_full"}
+            return 429, protocol.json_payload(
+                429, {"outcome": "rejected", "reason": "queue_full"})
         self._inflight += 1
         self._active.add(state)
         self._tenant_inflight[request.tenant] = (
@@ -495,7 +497,6 @@ class DiscoveryServer:
                     request, state, received
                 )
         except Exception as exc:  # noqa: BLE001 - keep the server alive
-            REGISTRY.incr("serve_requests", labels={"outcome": "error"})
             status, response = 500, {
                 "outcome": "error",
                 "error": f"{type(exc).__name__}: {exc}",
@@ -512,6 +513,11 @@ class DiscoveryServer:
             self._publish_gauges()
         total_s = time.time() - received
         response.setdefault("timings", {})["total_s"] = total_s
+        if tracer is not None:
+            response["trace_id"] = tracer.trace_id
+            if self.config.trace_dir:
+                self._spool_trace(tracer)
+        status, response, payload = _encode_reply(status, response)
         outcome = response.get("outcome", "error")
         REGISTRY.incr("serve_requests", labels={"outcome": outcome})
         REGISTRY.incr("serve_requests_by_algorithm",
@@ -523,13 +529,9 @@ class DiscoveryServer:
         REGISTRY.observe("serve_latency_seconds", total_s,
                          labels={"phase": "total"},
                          buckets=LATENCY_BUCKETS, exemplar=exemplar)
-        if tracer is not None:
-            response["trace_id"] = tracer.trace_id
-            if self.config.trace_dir:
-                self._spool_trace(tracer)
         await self._observe_request(request, response, outcome, total_s,
                                     tracer)
-        return status, response
+        return status, payload
 
     def _spool_trace(self, tracer):
         """Buffer one finished trace for the spool writer.
@@ -814,6 +816,25 @@ class DiscoveryServer:
                 result.get("error", f"build {result['outcome']}")
             )
         return result.get("nbytes", 0)
+
+
+def _encode_reply(status, response):
+    """``(status, response, payload)`` for one discover reply.
+
+    A reply holding a non-finite value is a fault of the server, not a
+    body to send: it is answered as a 500 naming the fault, with the
+    request's timings and trace id, never as a bare ``NaN``/``Infinity``
+    token no strict JSON parser accepts.
+    """
+    try:
+        return status, response, protocol.json_payload(status, response)
+    except ValueError as exc:
+        error = {"outcome": "error",
+                 "error": f"reply is not strict JSON: {exc}",
+                 "timings": {"total_s": response["timings"]["total_s"]}}
+        if "trace_id" in response:
+            error["trace_id"] = response["trace_id"]
+        return 500, error, protocol.json_payload(500, error)
 
 
 def _private_archive_dir():

@@ -18,9 +18,10 @@ runs unchanged in between checkpoints.
 Resident state: a worker keeps the workload instances it has loaded
 (:func:`repro.bench.workloads.load`'s memo, bounded by
 :data:`MEMO_LIMIT`) and, hanging off each instance, the
-algorithm objects its scalar runs use (:func:`_acquire_algorithm`) —
-the compile-time half of the paper's compile-time/run-time split, paid
-once per surface per worker rather than once per request.
+algorithm objects its runs and evaluate sweeps share
+(:func:`_acquire_algorithm`) — the compile-time half of the paper's
+compile-time/run-time split, paid once per surface per worker rather
+than once per request.
 
 The surface hand-off is the archive itself: a ``build`` task constructs
 the eager surface through the persistent archive cache
@@ -135,19 +136,21 @@ def _acquire_algorithm(spec, instance):
     """The algorithm object answering ``spec`` on ``instance``.
 
     The anorexic reduction, the prior schedule and the per-state
-    step/partition caches are compile-time artefacts of the canned
-    query, so scalar runs share one object per
+    step/slice/line caches are compile-time artefacts of the canned
+    query, so runs and evaluate sweeps share one object per
     ``(algorithm, prior kind)`` kept beside the memoised instance and
-    dropped with it by :func:`_bound_memo`; repeated ``run`` calls on
-    one object are the contract the loop sweep engine already relies on.
-    Two cases build a throw-away object instead: ``prior=history``,
-    whose pmf changes with every recorded observation, and
-    ``kind=evaluate``, whose sweep would fill the per-state caches for
-    the whole grid and pin that memory for the life of the instance.
+    dropped with it by :func:`_bound_memo`: a sweep pays for its
+    planner state once per surface per worker, and the runs after it
+    find those states warm.  The planner caches hold the same steps
+    however they were filled (a loop sweep is repeated ``run`` calls on
+    one object; the batch sweep plans whole levels into the same
+    ``_step_cache``), so sharing changes no reply.
+    Only ``prior=history`` builds a throw-away object: its pmf changes
+    with every recorded observation.
     """
     name = spec.get("algorithm", "sb")
     prior_kind = spec.get("prior") or "uniform"
-    if spec.get("kind", "run") != "run" or prior_kind == "history":
+    if prior_kind == "history":
         return _make_algorithm(name, instance, prior_kind)
     key = ("algorithm", name, prior_kind)
     algorithm = instance.resident.get(key)

@@ -8,6 +8,7 @@ with the load-generator client — the full wire path, not a mock.
 
 import asyncio
 import json
+import math
 import threading
 import time
 
@@ -355,6 +356,14 @@ class TestSingleFlight:
                            for r in records)
                 if algorithm == "native":
                     assert [r["budget"] for r in records] == [None]
+            for algorithm in ("sb", "pb", "ab"):
+                status, body = client.request(
+                    "POST", "/v1/discover",
+                    {"query": "2D_Q91", "algorithm": algorithm,
+                     "kind": "evaluate"})
+                assert status == 200
+                reply = json.loads(body, parse_constant=reject)
+                assert reply["result"]["mso"] >= reply["result"]["aso"]
             client.close()
         finally:
             thread.stop()
@@ -618,6 +627,12 @@ class TestDrain:
         thread.stop()
 
 
+def requests_total(text, outcome="error"):
+    """``repro_serve_requests_total`` of one outcome, from /metrics."""
+    return scrape_counter(text, "repro_serve_requests_total",
+                          {"outcome": outcome})
+
+
 class TestEndpoints:
     def test_metrics_and_health(self, serve_env):
         thread = start_server()
@@ -659,6 +674,59 @@ class TestEndpoints:
             # The connection survives every rejected request above.
             status, obj = client.discover({"query": "2D_Q91"})
             assert status == 200 and obj["outcome"] == "ok"
+            client.close()
+        finally:
+            thread.stop()
+
+    def test_internal_error_counted_once(self, serve_env, monkeypatch):
+        """A request that fails inside the server is one 500 and one
+        ``outcome="error"`` count, and the connection survives it."""
+        async def broken(*args, **kwargs):
+            raise RuntimeError("pipeline fault")
+
+        thread = start_server()
+        try:
+            host, port = thread.address
+            client = ServeClient(host, port)
+            before = requests_total(client.metrics_text())
+            monkeypatch.setattr(thread.server, "_admitted", broken)
+            status, obj = client.discover({"query": "2D_Q91"})
+            assert status == 500 and obj["outcome"] == "error"
+            assert obj["error"] == "RuntimeError: pipeline fault"
+            assert requests_total(client.metrics_text()) - before == 1
+            monkeypatch.undo()
+            status, obj = client.discover({"query": "2D_Q91"})
+            assert status == 200 and obj["outcome"] == "ok"
+            client.close()
+        finally:
+            thread.stop()
+
+    def test_non_finite_reply_is_a_named_500(self, serve_env, monkeypatch):
+        """A reply holding a NaN or an infinity is answered as a 500 that
+        names the fault, in strict JSON, and counted once as an error —
+        never sent as a bare ``Infinity`` token."""
+        async def non_finite(request, state, received, tracer=None):
+            return 200, {"outcome": "ok", "result": {"mso": math.inf}}
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        thread = start_server()
+        try:
+            host, port = thread.address
+            client = ServeClient(host, port)
+            before = client.metrics_text()
+            monkeypatch.setattr(thread.server, "_admitted", non_finite)
+            status, body = client.request(
+                "POST", "/v1/discover", {"query": "2D_Q91", "trace": True})
+            assert status == 500
+            reply = json.loads(body, parse_constant=reject)
+            assert reply["outcome"] == "error"
+            assert reply["error"].startswith("reply is not strict JSON")
+            assert reply["trace_id"] and reply["timings"]["total_s"] > 0
+            after = client.metrics_text()
+            assert requests_total(after) - requests_total(before) == 1
+            assert requests_total(after, "ok") == requests_total(before, "ok")
             client.close()
         finally:
             thread.stop()
@@ -945,31 +1013,56 @@ class TestResidentState:
                        for key in instance.resident
                        if isinstance(key, tuple))
 
-    def test_evaluate_leaves_resident_caches_alone(self, serve_env):
+    def test_evaluate_shares_the_resident_object(self, serve_env):
+        """An evaluate sweep runs on the resident object the runs use: its
+        planner caches grow, each sweep equals a fresh object's bit for
+        bit under both engines, and the runs after it answer exactly as
+        fresh solo runs do."""
+        import hashlib
+
+        import numpy as np
+
         from repro.serve import worker
 
-        def cache_sizes(algorithm):
-            return {name: len(value)
-                    for name, value in vars(algorithm).items()
-                    if name.endswith("_cache") or name == "_cost_surfaces"}
+        def cache_size(algorithm):
+            return sum(len(getattr(algorithm, name, ())) for name in (
+                "_step_cache", "_slice_indexes", "_line_cache",
+                "_local_plan_cache"))
 
-        for name in ("sb", "ab"):
-            worker.run_discovery(worker_spec("3D_Q15", algorithm=name))
         instance = workloads.load("3D_Q15", profile="smoke",
                                   ess_mode="eager")
-        resident = {name: instance.resident[("algorithm", name, "uniform")]
-                    for name in ("sb", "ab")}
-        sizes = {name: cache_sizes(algo) for name, algo in resident.items()}
-        assert sum(sizes["ab"].values()) > 0  # the runs did fill them
-        for name in ("sb", "ab"):
-            for engine in ("loop", "batch"):
+        qas = [[0.6, 0.7, 0.8], [1e-4, 0.03, 0.5], None]
+        served = []
+        for name in ("sb", "ab", "pb"):
+            worker.run_discovery(worker_spec("3D_Q15", algorithm=name))
+            resident = instance.resident[("algorithm", name, "uniform")]
+            size = cache_size(resident)
+            for engine in ("batch", "loop"):
                 out = worker.run_discovery(worker_spec(
                     "3D_Q15", algorithm=name, kind="evaluate",
                     engine=engine))
                 assert out["outcome"] == "ok"
-        for name, algo in resident.items():
-            assert instance.resident[("algorithm", name, "uniform")] is algo
-            assert cache_sizes(algo) == sizes[name]
+                assert instance.resident[
+                    ("algorithm", name, "uniform")] is resident
+                if name != "pb":  # PlanBouquet keeps no per-state caches
+                    assert cache_size(resident) > size, (name, engine)
+                fresh = evaluate_algorithm(
+                    worker._make_algorithm(name, instance), engine=engine)
+                sub = np.ascontiguousarray(fresh.suboptimality)
+                assert out["result"]["subopt_sha256"] == hashlib.sha256(
+                    sub.tobytes()).hexdigest(), (name, engine)
+                assert np.array_equal(evaluate_algorithm(
+                    resident, engine=engine).suboptimality, sub)
+            for qa in qas:
+                out = worker.run_discovery(worker_spec(
+                    "3D_Q15", algorithm=name, qa=qa))
+                assert out["outcome"] == "ok"
+                served.append((name, qa, out["result"]))
+        for name, qa, result in served:
+            solo = solo_result("3D_Q15", profile="smoke", algorithm=name,
+                               qa=qa)
+            assert (json.dumps(result, sort_keys=True)
+                    == json.dumps(solo, sort_keys=True)), (name, qa)
 
     def test_fingerprint_memo_skips_errors_and_stays_bounded(
             self, serve_env, monkeypatch):

@@ -177,6 +177,58 @@ class TestStateCaching:
         sb.run(200)
         assert len(sb._step_cache) > 0
 
+    def test_slice_index_lookup_matches_a_row_scan(self, star_ess,
+                                                  star_contours):
+        """Catches a lookup that takes the run ``searchsorted`` lands on
+        without checking its code: a key whose code lies below the first
+        code present, above the last or in a gap between two must find
+        no slice, on a swept object and on a cold one alike, and every
+        present code exactly the rows a scan of the contour finds."""
+        warm = SpillBound(star_ess, star_contours)
+        evaluate_algorithm(warm, engine="batch")
+        resolution = star_ess.grid.resolution
+        checked = {"below": 0, "above": 0, "gap": 0, "present": 0}
+        for contour_index, dims in list(warm._slice_indexes):
+            if not dims:
+                continue
+            contour = star_contours.contour(contour_index)
+            _, codes, _, radix = warm._slice_index(contour, dims)
+            space = int(radix[0]) * resolution[dims[0]]
+            present = set(codes.tolist())
+            probes = {"present": sorted(present)[::3]}
+            probes["below"] = list(range(min(present)))[:2]
+            probes["above"] = list(range(max(present) + 1, space))[:2]
+            probes["gap"] = [code for code in range(min(present),
+                                                    max(present))
+                             if code not in present][:3]
+            keys, kinds = [], []
+            for kind, probe in probes.items():
+                for code in probe:
+                    keys.append(tuple(
+                        (dim, code // int(weight) % resolution[dim])
+                        for dim, weight in zip(dims, radix)))
+                    kinds.append(kind)
+                checked[kind] += len(probe)
+            expected = {}
+            for key in keys:
+                match = np.ones(len(contour.coords), dtype=bool)
+                for dim, value in key:
+                    match &= contour.coords[:, dim] == value
+                if match.any():
+                    expected[key] = np.flatnonzero(match).tolist()
+            assert all((key in expected) == (kind == "present")
+                       for key, kind in zip(keys, kinds))
+            cold = SpillBound(star_ess, star_contours)
+            for planner in (warm, cold):
+                found = {}
+                for slices in planner._sibling_slices(contour, keys):
+                    ends = [*slices.starts[1:].tolist(), len(slices.rows)]
+                    for number, low, high in zip(
+                            slices.states, slices.starts.tolist(), ends):
+                        found[keys[number]] = slices.rows[low:high].tolist()
+                assert found == expected, (contour_index, dims)
+        assert all(checked.values()), checked
+
 
 class TestLevelPlanIdentity:
     """The level planner gives every state the steps it gets alone.
