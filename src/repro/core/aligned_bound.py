@@ -110,7 +110,7 @@ def _subsets(items):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartStep:
     """One part of the chosen partition: a single spill execution.
 

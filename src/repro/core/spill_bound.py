@@ -90,7 +90,7 @@ def band_trials(bands, plan_ids):
     return line[final], flat_bands[final], flat_pids[final]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpillStep:
     """A planned spill-mode execution for one epp on one contour.
 

@@ -47,6 +47,8 @@ Knobs: ``REPRO_ESS=eager|lazy`` selects the default surface for
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.ess.contours import ContourSet
@@ -281,24 +283,27 @@ class LazyESS(ESS):
         missing = np.unique(missing)
         grid = self.grid
         with REGISTRY.phase("ess_lazy_resolve"):
-            with obs_span("ess.lazy.resolve", points=int(missing.size)):
+            with obs_span("ess.lazy.resolve",
+                          points=int(missing.size)) as span:
+                began = time.perf_counter()
                 result = self._optimizer.optimize(
                     grid.environment_at(missing), num_points=missing.size
                 )
-                keys, pool = result.plans(self._plan_nodes)
-        new_keys = sorted(k for k in pool if k not in self._plan_index)
-        if new_keys:
-            for key in new_keys:
-                self._plan_index[key] = len(self.plans)
-                self.plans.append(pool[key])
+                span.set_attr("optimize_s", time.perf_counter() - began)
+                groups, roots = result.plans(self._plan_nodes)
+        index = self._plan_index
+        fresh = {root.key: root for root in roots if root.key not in index}
+        if fresh:
+            for key in sorted(fresh):
+                index[key] = len(self.plans)
+                self.plans.append(fresh[key])
                 self.plan_keys.append(key)
             # POSP grew: the (|POSP|, D) spill-order matrix is stale.
             self._spill_order_matrix = None
-        index = self._plan_index
         self._costs[missing] = np.asarray(result.optimal_cost, dtype=float)
-        self._pids[missing] = np.fromiter(
-            (index[k] for k in keys), dtype=np.int32, count=len(keys)
-        )
+        self._pids[missing] = np.array(
+            [index[root.key] for root in roots], dtype=np.int32
+        )[groups]
         self._resolved_mask[missing] = True
         self.optimizer_calls += int(missing.size)
         REGISTRY.incr("ess_optimizer_calls", int(missing.size))

@@ -12,6 +12,7 @@ algorithm consumes.
 from __future__ import annotations
 
 import operator
+import time
 
 import numpy as np
 
@@ -69,14 +70,18 @@ class ESS:
         if grid is None:
             grid = ESSGrid(query.num_epps, resolution=resolution)
         optimizer = Optimizer(query, cost_model, left_deep=left_deep)
-        with obs_span("ess.build", points=grid.num_points):
+        with obs_span("ess.build", points=grid.num_points) as span:
+            began = time.perf_counter()
             result = optimizer.optimize(grid.environment(),
                                         num_points=grid.num_points)
-            keys, pool = result.plans()
+            span.set_attr("optimize_s", time.perf_counter() - began)
+            groups, roots = result.plans()
         REGISTRY.incr("ess_optimizer_calls", grid.num_points)
+        pool = {root.key: root for root in roots}
         plan_keys = sorted(pool)
         index = {key: i for i, key in enumerate(plan_keys)}
-        plan_ids = np.fromiter((index[k] for k in keys), dtype=np.int32, count=len(keys))
+        plan_ids = np.array([index[root.key] for root in roots],
+                            dtype=np.int32)[groups]
         plans = [pool[k] for k in plan_keys]
         ess = cls(
             query=query,

@@ -28,11 +28,13 @@ nested-loop, index nested-loop) and per scan (sequential, index).
 from __future__ import annotations
 
 import itertools
+import time
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import OptimizerError
+from repro.obs.trace import current_span
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL
 from repro.optimizer.plans import (
     HASH_JOIN,
@@ -57,6 +59,37 @@ STACKED_MAX_POINTS = 512
 #: Stack order of a level's alternatives (scans only meet on level 1).
 _OPERATORS = (SEQ_SCAN, INDEX_SCAN, HASH_JOIN, NL_JOIN, MERGE_JOIN,
               INDEX_NL_JOIN)
+
+
+def group_rows(rows, radices):
+    """Group the equal rows of a small-integer matrix, in sorted order.
+
+    Returns ``(first, inverse)`` exactly as ``np.unique(rows, axis=0,
+    return_index=True, return_inverse=True)`` does (each group's first
+    row, in lexicographic order of the rows, and each row's group)
+    without sorting the rows as structured records.  Column ``c`` holds
+    entries in ``[-1, radices[c])``: it is a digit of base
+    ``radices[c] + 1`` of an int64 code, column 0 the most significant.
+    (Digits from -1 rather than 0 shift every code by one constant,
+    which changes no comparison.)  When the next digit would take the
+    code past 62 bits, the code is first ranked with a 1-D
+    ``np.unique`` (an order-preserving relabel to fewer than ``n``
+    values) and packing continues on the rank.
+    """
+    rows = np.asarray(rows)
+    code = np.zeros(rows.shape[0], dtype=np.int64)
+    span = 1  # every code is below this in magnitude
+    for column, radix in enumerate(radices):
+        base = int(radix) + 1
+        if span * base > 1 << 62:
+            values, code = np.unique(code, return_inverse=True)
+            span = len(values)
+        code *= base
+        code += rows[:, column]
+        span *= base
+    _, first, inverse = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
 
 
 class _ScanAlt:
@@ -112,9 +145,12 @@ class OptimizationResult:
         while walking the chosen tree top-down (a cell for a subset that
         the chosen join order never materializes cannot influence the
         plan).  Locations are therefore grouped by their signature of
-        load-bearing entries and the recursive reconstruction runs once
-        per distinct signature — O(|POSP|)-ish recursions instead of one
-        per grid point, which dominates ESS build time on fine grids.
+        load-bearing entries (:func:`group_rows`, an integer sort) and
+        the recursive reconstruction runs once per distinct signature —
+        O(|POSP|)-ish recursions instead of one per grid point.  What
+        remains per location is a few array passes per branching DP
+        row, so the sweep itself (:meth:`Optimizer.optimize`), not this
+        reconstruction, dominates an eager build on a fine grid.
 
         Args:
             nodes: optional node cache shared by successive sweeps of
@@ -124,10 +160,16 @@ class OptimizationResult:
                 seen by an earlier sweep costs a dict hit.
 
         Returns:
-            (keys, plan_pool): ``keys`` is a list of plan-identity strings
-            per location; ``plan_pool`` maps identity -> shared
-            :class:`PlanNode` tree.
+            (groups, roots): ``groups`` is an ``(N,)`` int64 array, the
+            signature group of each location (groups are numbered in
+            lexicographic order of their signatures); ``roots[g]`` is
+            the shared :class:`PlanNode` tree of group ``g``.  Distinct
+            groups hold distinct signatures; callers identify plans by
+            ``root.key``.  An active trace span (an ESS build or lazy
+            resolve) gains ``group_s``, the signature walk and grouping,
+            and ``reconstruct_s``, the tree recursion.
         """
+        began = time.perf_counter()
         optimizer = self._optimizer
         rows = optimizer._rows
         n = self.num_points
@@ -140,6 +182,7 @@ class OptimizationResult:
         reach[-1] = np.ones(n, dtype=bool)
         columns = []
         signature_columns = []
+        radices = []
         for row in optimizer._top_down:
             reached = reach[row]
             if reached is None or not reached.any():
@@ -152,6 +195,7 @@ class OptimizationResult:
                 # Non-load-bearing entries are masked to -1 so they
                 # cannot split otherwise-identical plans.
                 columns.append(optimizer._signature_column[row])
+                radices.append(len(alts))
                 signature_columns.append(
                     np.where(reached, chosen, -1).astype(np.int32)
                 )
@@ -175,15 +219,12 @@ class OptimizationResult:
                         selected.copy() if prev is None else prev | selected
                     )
         if signature_columns:
-            signatures = np.stack(signature_columns, axis=1)
-            _, representatives, inverse = np.unique(
-                signatures, axis=0, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
+            # Column-major: group_rows reads one column at a time.
+            signatures = np.stack(signature_columns).T
         else:  # a query with no plan choices anywhere
             signatures = np.empty((n, 0), dtype=np.int32)
-            representatives = np.zeros(1, dtype=np.int64)
-            inverse = np.zeros(n, dtype=np.int64)
+        representatives, groups = group_rows(signatures, radices)
+        grouped = time.perf_counter()
         # Signatures hold only the columns this sweep reached; spread
         # over every branching mask they identify a tree across sweeps.
         canonical = np.full(
@@ -200,9 +241,13 @@ class OptimizationResult:
                     optimizer.full_mask, int(point), nodes
                 )
             roots.append(root)
-        root_keys = [root.key for root in roots]
-        keys = [root_keys[group] for group in inverse.tolist()]
-        return keys, dict(zip(root_keys, roots))
+        # The enclosing span (an ESS build or lazy resolve) learns where
+        # the reconstruction's time went.
+        span = current_span()
+        if span is not None:
+            span.set_attr("group_s", grouped - began)
+            span.set_attr("reconstruct_s", time.perf_counter() - grouped)
+        return groups, roots
 
     def _build(self, mask, point, cache):
         optimizer = self._optimizer

@@ -109,6 +109,21 @@ class TestExecutionSemantics:
                 )
 
 
+class TestStepSlots:
+    def test_planned_steps_are_slotted(self, toy_ess, toy_contours):
+        """AlignedBound's cached parts carry no per-instance
+        ``__dict__``, like SpillBound's steps."""
+        ab = AlignedBound(toy_ess, toy_contours)
+        ab.run(250)
+        steps = [step for planned in ab._step_cache.values()
+                 for step in planned]
+        assert steps
+        for step in steps:
+            assert not hasattr(step, "__dict__")
+            with pytest.raises(AttributeError):
+                step.budget = 0.0
+
+
 class TestAlignmentStats:
     def test_fractions_monotone_in_threshold(self, toy_ess, toy_contours):
         stats = contour_alignment_stats(toy_ess, toy_contours)

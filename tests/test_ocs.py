@@ -29,6 +29,24 @@ class TestBuild:
         ess = ESS.build(make_toy_query(), resolution=6)
         assert ess.grid.shape == (6, 6)
 
+    def test_build_span_carries_its_ledger(self):
+        """The ``ess.build`` span splits a cold build into the DP sweep,
+        the signature grouping and the tree reconstruction; the three
+        parts fit inside the span."""
+        from repro.obs import trace
+
+        tracer = trace.Tracer()
+        previous = trace.install_tracer(tracer)
+        try:
+            ESS.build(make_toy_query(), resolution=24)
+        finally:
+            trace.install_tracer(previous)
+        (build,) = [span for span in tracer.spans if span.name == "ess.build"]
+        parts = [build.attrs[name]
+                 for name in ("optimize_s", "group_s", "reconstruct_s")]
+        assert all(part > 0.0 for part in parts)
+        assert sum(parts) <= build.duration_ns / 1e9
+
 
 class TestPCM:
     """Plan Cost Monotonicity (paper Section 2.4) over the built surface."""

@@ -110,18 +110,18 @@ class TestGridSweep:
         grid0, grid1 = np.meshgrid(sels, sels, indexing="ij")
         env = {0: grid0.ravel(), 1: grid1.ravel()}
         result = toy_optimizer.optimize(env, num_points=16)
-        keys, pool = result.plans()
+        groups, roots = result.plans()
         for point in range(16):
             plan, _ = toy_optimizer.optimize_at(
                 (grid0.ravel()[point], grid1.ravel()[point])
             )
-            assert keys[point] == plan.key
-        assert set(keys) <= set(pool)
+            assert roots[groups[point]].key == plan.key
+        assert set(groups.tolist()) == set(range(len(roots)))
 
     def test_plan_pool_contains_only_full_plans(self, toy_optimizer):
         env = {0: np.array([1e-5, 1e-2]), 1: np.array([1e-5, 1e-2])}
-        _, pool = toy_optimizer.optimize(env, num_points=2).plans()
-        for plan in pool.values():
+        _, roots = toy_optimizer.optimize(env, num_points=2).plans()
+        for plan in roots:
             assert plan.tables == toy_optimizer.all_tables
 
     def test_scalar_env_defaults_to_one_point(self, toy_optimizer):
@@ -167,6 +167,12 @@ def _sweep(optimizer, env, layout, monkeypatch):
     return optimizer.optimize(env)
 
 
+def _plan_keys(result):
+    """Per-location plan keys from ``plans()``'s groups and roots."""
+    groups, roots = result.plans()
+    return [roots[group].key for group in groups]
+
+
 def _assert_rows_equal(optimizer, result, reference, flats):
     """``result`` equals rows ``flats`` of the full-grid ``reference``."""
     assert np.array_equal(result.optimal_cost, reference.optimal_cost[flats])
@@ -174,10 +180,12 @@ def _assert_rows_equal(optimizer, result, reference, flats):
         assert np.array_equal(
             result.choice(mask), reference.choice(mask)[flats]
         ), f"choice arrays differ on mask {mask:b}"
-    keys, pool = result.plans()
-    reference_keys, _ = reference.plans()
-    assert keys == [reference_keys[flat] for flat in flats]
-    assert set(pool) == set(keys)
+    groups, roots = result.plans()
+    reference_keys = _plan_keys(reference)
+    assert [roots[group].key for group in groups] == [
+        reference_keys[flat] for flat in flats
+    ]
+    assert set(groups.tolist()) == set(range(len(roots)))
 
 
 @pytest.mark.parametrize("left_deep", [False, True],
@@ -228,7 +236,7 @@ class TestLayoutIdentity:
 
     def test_all_scalar_environments(self, setting, monkeypatch):
         optimizer, grid, reference = setting
-        reference_keys, _ = reference.plans()
+        reference_keys = _plan_keys(reference)
         rng = np.random.default_rng(17)
         for flat in rng.integers(0, grid.num_points, size=7):
             sels = grid.selectivities_of(flat)

@@ -177,6 +177,19 @@ class TestStateCaching:
         sb.run(200)
         assert len(sb._step_cache) > 0
 
+    def test_planned_steps_are_slotted(self, toy_ess, toy_contours):
+        """Cached steps carry no per-instance ``__dict__``: the step
+        cache is the largest resident planner cache of a served object."""
+        sb = SpillBound(toy_ess, toy_contours)
+        sb.run(200)
+        steps = [step for planned in sb._step_cache.values()
+                 for step in planned]
+        assert steps
+        for step in steps:
+            assert not hasattr(step, "__dict__")
+            with pytest.raises(AttributeError):
+                step.budget = 0.0
+
     def test_slice_index_lookup_matches_a_row_scan(self, star_ess,
                                                   star_contours):
         """Catches a lookup that takes the run ``searchsorted`` lands on
