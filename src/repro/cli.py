@@ -846,8 +846,8 @@ def build_parser():
                    help="per-tenant in-flight ceiling "
                    "(default REPRO_SERVE_QUOTA)")
     p.add_argument("--cache-mb", type=int, default=None,
-                   help="in-memory surface tier budget "
-                   "(default REPRO_SERVE_CACHE_MB)")
+                   help="accepted and validated, but the surface tier "
+                   "no longer evicts (default REPRO_SERVE_CACHE_MB)")
     p.add_argument("--conformance", action="store_true",
                    help="check every request's result with the conformance "
                    "monitor")

@@ -209,6 +209,11 @@ class AlignedBound(SpillBound):
         learnt-dimension set and an active set are covered together."""
         plans = [[] for _ in learned_keys]
         contour = self.contours.contour(contour_index)
+        # The replacement searches gather from the same plans' cost
+        # arrays thousands of times a level; this call keeps references
+        # to them, and only for its own length, so every array still
+        # held after it is one the ESS cache (``COST_CACHE_LIMIT``) keeps.
+        surfaces = {}
         for slices in self._sibling_slices(contour, learned_keys):
             first = slices.extreme_spillers()
             active = first >= 0
@@ -217,15 +222,17 @@ class AlignedBound(SpillBound):
                 alike = np.flatnonzero(pattern == bits)
                 cover, steps = self._cover_slices(
                     contour, slices, first,
-                    np.flatnonzero(active[alike[0]]), alike,
+                    np.flatnonzero(active[alike[0]]), alike, surfaces,
                 )
                 for number, step in zip(cover.tolist(), steps):
                     plans[slices.states[number]].append(step)
         return plans
 
-    def _cover_slices(self, contour, siblings, first, active, slices):
+    def _cover_slices(self, contour, siblings, first, active, slices,
+                      surfaces):
         """Partition covers of the ``slices`` (numbers in ``siblings``)
-        whose active dimensions are ``active``.
+        whose active dimensions are ``active``; ``surfaces`` is the
+        caller's plan -> cost array map for :meth:`_induce`.
 
         Returns ``(slice, steps)``: each chosen part's slice and its
         :class:`PartStep`, slice by slice in ascending leader order.
@@ -302,7 +309,7 @@ class AlignedBound(SpillBound):
             )
             cost, pid, row = self._induce(
                 contour, pool, rows,
-                slice_of_row * span + coord[:, lead], requests,
+                slice_of_row * span + coord[:, lead], requests, surfaces,
             )
             spend[which, part, lead] = np.maximum(budget, cost)[request]
             plan[which, part, lead] = pid[request]
@@ -363,7 +370,7 @@ class AlignedBound(SpillBound):
         ]
         return slices[which], steps
 
-    def _induce(self, contour, pool, rows, row_code, requests):
+    def _induce(self, contour, pool, rows, row_code, requests, surfaces):
         """The cheapest (pool plan, location) pair of each request.
 
         A request is a code of ``row_code``'s kind (slice and leader
@@ -371,6 +378,9 @@ class AlignedBound(SpillBound):
         ``rows`` carrying that code.  Returns per request the minimum
         cost, the first pool plan and that plan's first location
         attaining it: a row-major ``argmin`` over (pool, locations).
+        ``surfaces`` maps plan ids to full-grid cost arrays fetched
+        earlier in the same planning call; misses are fetched from the
+        ESS and added.
         """
         ess = self.ess
         slot = np.minimum(np.searchsorted(requests, row_code),
@@ -383,7 +393,10 @@ class AlignedBound(SpillBound):
         costs = np.empty((len(pool), len(flats)), dtype=float)
         if ess.grid.num_points <= ess.POINTWISE_EVAL_MIN_GRID:
             for k, pid in enumerate(pool.tolist()):
-                costs[k] = self._cost_surface(pid)[flats]
+                surface = surfaces.get(pid)
+                if surface is None:
+                    surface = surfaces[pid] = ess.plan_cost_array(pid)
+                costs[k] = surface[flats]
         else:
             for k, pid in enumerate(pool.tolist()):
                 costs[k] = ess.plan_cost_at_points(pid, flats)

@@ -193,7 +193,6 @@ class SpillBound:
         self._line_cache = {}
         self._unlearnt_cache = {}
         self._slice_indexes = {}
-        self._cost_surfaces = {}
 
     def prior_schedule(self):
         """The prior discretized onto this surface's ladder (lazy)."""
@@ -412,20 +411,6 @@ class SpillBound:
             # Lemma 3.1's floor (see learnable_index) is per location.
             reach.append(max(idx, floor))
         return curves, reach
-
-    def _cost_surface(self, plan_id):
-        """A plan's full-grid cost surface as a plain float array.
-
-        Thin ref cache over :meth:`~repro.ess.ocs.ESS.plan_cost_array`:
-        the replacement searches gather from these surfaces thousands
-        of times per sweep, and the ESS cache's per-hit LRU bookkeeping
-        dominated those lookups.
-        """
-        arr = self._cost_surfaces.get(plan_id)
-        if arr is None:
-            arr = np.asarray(self.ess.plan_cost_array(plan_id), dtype=float)
-            self._cost_surfaces[plan_id] = arr
-        return arr
 
     # ------------------------------------------------------------------
     # The 1-D PlanBouquet tail

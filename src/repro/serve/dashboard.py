@@ -233,7 +233,6 @@ def render_dashboard_html(state, registry, health, now=None,
             registry.counter("serve_conformance_violations"))),
         _tile("trace drops", int(dropped)),
         _tile("surfaces", surfaces.get("ready", 0)),
-        _tile("cache MB", f"{surfaces.get('resident_bytes', 0) / 1e6:.0f}"),
     ])
 
     charts = []

@@ -146,7 +146,7 @@ class DiscoveryServer:
     def __init__(self, config=None, **overrides):
         self.config = (config if config is not None
                        else ServeConfig.from_env(**overrides))
-        self.tier = SurfaceTier(self.config.cache_mb * 1024 * 1024)
+        self.tier = SurfaceTier()
         self._server = None
         self._pool = None
         self._cancel_slots = None
@@ -815,7 +815,6 @@ class DiscoveryServer:
             raise ReproError(
                 result.get("error", f"build {result['outcome']}")
             )
-        return result.get("nbytes", 0)
 
 
 def _encode_reply(status, response):

@@ -19,9 +19,10 @@ Resident state: a worker keeps the workload instances it has loaded
 (:func:`repro.bench.workloads.load`'s memo, bounded by
 :data:`MEMO_LIMIT`) and, hanging off each instance, the
 algorithm objects its runs and evaluate sweeps share
-(:func:`_acquire_algorithm`) — the compile-time half of the paper's
-compile-time/run-time split, paid once per surface per worker rather
-than once per request.
+(:func:`_acquire_algorithm`) and the completed sweeps of each such
+object by engine (:func:`_execute`) — the compile-time half of the
+paper's compile-time/run-time split, paid once per surface per worker
+rather than once per request.
 
 The surface hand-off is the archive itself: a ``build`` task constructs
 the eager surface through the persistent archive cache
@@ -132,6 +133,16 @@ def _make_algorithm(name, instance, prior_kind=None):
     return AlignedBound(instance.ess, instance.contours, prior=prior)
 
 
+def _resident_key(spec):
+    """``instance.resident`` key of ``spec``'s algorithm object, or None
+    for ``prior=history``, which is never resident: its pmf changes with
+    every recorded observation."""
+    prior_kind = spec.get("prior") or "uniform"
+    if prior_kind == "history":
+        return None
+    return ("algorithm", spec.get("algorithm", "sb"), prior_kind)
+
+
 def _acquire_algorithm(spec, instance):
     """The algorithm object answering ``spec`` on ``instance``.
 
@@ -145,17 +156,15 @@ def _acquire_algorithm(spec, instance):
     however they were filled (a loop sweep is repeated ``run`` calls on
     one object; the batch sweep plans whole levels into the same
     ``_step_cache``), so sharing changes no reply.
-    Only ``prior=history`` builds a throw-away object: its pmf changes
-    with every recorded observation.
+    Only ``prior=history`` builds a throw-away object.
     """
-    name = spec.get("algorithm", "sb")
-    prior_kind = spec.get("prior") or "uniform"
-    if prior_kind == "history":
-        return _make_algorithm(name, instance, prior_kind)
-    key = ("algorithm", name, prior_kind)
+    key = _resident_key(spec)
+    if key is None:
+        return _make_algorithm(spec.get("algorithm", "sb"), instance,
+                               "history")
     algorithm = instance.resident.get(key)
     if algorithm is None:
-        algorithm = _make_algorithm(name, instance, prior_kind)
+        algorithm = _make_algorithm(key[1], instance, key[2])
         instance.resident[key] = algorithm
     return algorithm
 
@@ -242,8 +251,7 @@ def warmup():
 def build_surface(spec):
     """Build (or archive-load) an eager ESS into the archive.
 
-    The single-flight leader's task.  ``nbytes`` is the surface's array
-    bytes, which the server's tier budgets its resident entries by.
+    The single-flight leader's task.
     """
     REGISTRY.reset()
     tracer, previous = _adopt_trace(spec)
@@ -253,9 +261,7 @@ def build_surface(spec):
         with tracing.span("serve.worker.build", pid=os.getpid(),
                           query=spec.get("query", "")):
             _checkpoint(spec.get("cancel_slot"))
-            instance = _load(dict(spec, ess_mode="eager"))
-            out["nbytes"] = int(instance.ess.optimal_cost.nbytes
-                                + instance.ess.plan_ids.nbytes)
+            _load(dict(spec, ess_mode="eager"))
     except CancelledByServer:
         out["outcome"] = "killed"
     except ReproError as exc:
@@ -336,21 +342,39 @@ def _conformance(spec, algorithm, raw):
 
 
 def _execute(spec, instance, algorithm):
+    """The reply's ``result`` fields, plus the raw result as ``_raw``.
+
+    An ``evaluate`` sweep of a resident object is a pure function of the
+    object and the engine asked for, so the completed sweep is kept
+    beside the object (``instance.resident``, gone with it) and a repeat
+    with the same engine is answered from there without sweeping
+    (``serve_sweep_memo_hits``); only its ``timings`` differ.
+    """
     if spec.get("kind", "run") == "evaluate":
-        with tracing.span("worker.evaluate",
-                          engine=spec.get("engine", "auto")):
-            evaluation = evaluate_algorithm(
-                algorithm, engine=spec.get("engine", "auto")
-            )
-        sub = np.ascontiguousarray(evaluation.suboptimality)
-        return {
-            "mso": float(evaluation.mso),
-            "aso": float(evaluation.aso),
-            "worst_location": int(evaluation.worst_location),
-            "num_points": int(sub.size),
-            "subopt_sha256": hashlib.sha256(sub.tobytes()).hexdigest(),
-            "_raw": evaluation,
-        }
+        engine = spec.get("engine", "auto")
+        key = _resident_key(spec)
+        if key is not None:
+            key += ("sweep", engine)
+        done = instance.resident.get(key)
+        with tracing.span("worker.evaluate", engine=engine,
+                          memo="miss" if done is None else "hit"):
+            if done is None:
+                evaluation = evaluate_algorithm(algorithm, engine=engine)
+                sub = np.ascontiguousarray(evaluation.suboptimality)
+                done = {
+                    "mso": float(evaluation.mso),
+                    "aso": float(evaluation.aso),
+                    "worst_location": int(evaluation.worst_location),
+                    "num_points": int(sub.size),
+                    "subopt_sha256": hashlib.sha256(
+                        sub.tobytes()).hexdigest(),
+                    "_raw": evaluation,
+                }
+                if key is not None:
+                    instance.resident[key] = done
+            else:
+                REGISTRY.incr("serve_sweep_memo_hits")
+        return dict(done)
     qa = spec.get("qa")
     qa = tuple(qa) if qa else instance.query.true_location()
     with tracing.span("worker.run", algorithm=spec.get("algorithm", "sb")):

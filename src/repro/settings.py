@@ -94,7 +94,7 @@ SETTINGS = {setting.name: setting for setting in (
     Setting("REPRO_SERVE_QUOTA", "int", 16,
             "serve: per-tenant in-flight ceiling", flag="--quota", floor=1),
     Setting("REPRO_SERVE_CACHE_MB", "int", 256,
-            "serve: surface-tier resident megabytes",
+            "serve: accepted and validated; no longer evicts",
             flag="--cache-mb", floor=0),
     Setting("REPRO_SERVE_TRACE", "int", 0,
             "serve: trace every Nth request (0 = off)",

@@ -109,6 +109,45 @@ class TestExecutionSemantics:
                 )
 
 
+class TestCostArrays:
+    def test_no_cost_array_outlives_its_ess_cache_entry(self, monkeypatch):
+        """With ``COST_CACHE_LIMIT`` small, a sweep plus runs leaves no
+        full-grid cost array alive that the ESS cache has evicted: the
+        ESS bound is the bound on every cost array the object holds.
+        Catches a per-object ref cache of cost arrays that outlives the
+        planning call."""
+        import gc
+        import weakref
+
+        from repro.ess.contours import ContourSet
+        from repro.ess.grid import ESSGrid
+        from repro.ess.ocs import ESS
+        from tests.conftest import make_star_query
+
+        ess = ESS.build(make_star_query(3),
+                        ESSGrid(3, resolution=8, sel_min=1e-6))
+        monkeypatch.setattr(ess, "COST_CACHE_LIMIT", 2)
+        handed_out = []
+        fetch = ess.plan_cost_array
+
+        def recording(plan_id):
+            array = fetch(plan_id)
+            handed_out.append((plan_id, weakref.ref(array)))
+            return array
+
+        monkeypatch.setattr(ess, "plan_cost_array", recording)
+        algorithm = AlignedBound(ess, ContourSet(ess))
+        evaluate_algorithm(algorithm)
+        for flat in range(0, ess.grid.num_points, 37):
+            algorithm.run(flat)
+        gc.collect()
+        alive = {id(a) for a in (ref() for _, ref in handed_out)
+                 if a is not None}
+        cached = {id(a) for a in ess._cost_arrays.values()}
+        assert len({pid for pid, _ in handed_out}) > ess.COST_CACHE_LIMIT
+        assert alive <= cached, len(alive - cached)
+
+
 class TestStepSlots:
     def test_planned_steps_are_slotted(self, toy_ess, toy_contours):
         """AlignedBound's cached parts carry no per-instance
@@ -283,18 +322,20 @@ class TestLevelPlanIdentity:
         contour = instance.contours.contour(1)
         rng = np.random.default_rng(7)
         pool = np.asarray([2, 0, 1])
-        for pid in pool.tolist():
-            planner._cost_surfaces[pid] = rng.integers(
+        surfaces = {
+            pid: rng.integers(
                 1, 4, size=instance.ess.grid.num_points).astype(float)
+            for pid in pool.tolist()
+        }
         rows = rng.permutation(len(contour.points))[:90]
         row_code = rng.integers(0, 12, size=len(rows))
         requests = np.unique(row_code)[::2]
         cost, pid, row = planner._induce(
-            contour, pool, rows, row_code, requests)
+            contour, pool, rows, row_code, requests, surfaces)
         for k, request in enumerate(requests.tolist()):
             members = rows[row_code == request]
             costs = np.asarray([
-                planner._cost_surfaces[p][contour.points[members]]
+                surfaces[p][contour.points[members]]
                 for p in pool.tolist()
             ])
             first = int(np.argmin(costs))

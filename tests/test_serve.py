@@ -182,13 +182,12 @@ class TestSurfaceTier:
 
     def test_concurrent_acquires_build_once(self):
         async def scenario():
-            tier = SurfaceTier(limit_bytes=1 << 20)
+            tier = SurfaceTier()
             builds = []
 
             async def builder():
                 builds.append(1)
                 await asyncio.sleep(0.02)
-                return 100
 
             sources = await asyncio.gather(*[
                 tier.acquire("fp", builder) for _ in range(8)
@@ -199,11 +198,11 @@ class TestSurfaceTier:
         assert len(builds) == 1
         assert sources.count("built") == 1
         assert sources.count("coalesced") == 7
-        assert tier.resident_bytes == 100
+        assert tier.stats() == {"entries": 1, "ready": 1, "building": 0}
 
     def test_failed_build_forgotten_then_retried(self):
         async def scenario():
-            tier = SurfaceTier(limit_bytes=1 << 20)
+            tier = SurfaceTier()
             attempts = []
 
             async def failing():
@@ -211,7 +210,7 @@ class TestSurfaceTier:
                 raise RuntimeError("boom")
 
             async def working():
-                return 0
+                pass
 
             with pytest.raises(RuntimeError):
                 await tier.acquire("fp", failing)
@@ -221,58 +220,33 @@ class TestSurfaceTier:
         assert len(attempts) == 1
         assert source == "built"
 
-    @staticmethod
-    def _evictions():
-        return REGISTRY.counter("serve_surface_evictions")
-
-    def test_lru_eviction_unlinks_by_bytes(self):
-        before = self._evictions()
+    def test_built_surfaces_are_never_forgotten(self):
+        """The tier records, it does not bound: however many surfaces
+        are built, each stays a hit until shutdown."""
+        hits = REGISTRY.counter("serve_surface_hits")
 
         async def scenario():
-            tier = SurfaceTier(limit_bytes=250)
+            tier = SurfaceTier()
 
             async def builder():
-                return 100
+                pass
 
-            await tier.acquire("a", builder)
-            await tier.acquire("b", builder)
-            # Touch "a" so "b" is the LRU victim when "c" overflows.
-            assert await tier.acquire("a", builder) == "hit"
-            await tier.acquire("c", builder)
-            return tier, {fp: tier.lookup(fp) for fp in "abc"}
+            sources = [await tier.acquire(fp, builder) for fp in "abcab"]
+            return tier, sources, {fp: tier.lookup(fp) for fp in "abc"}
 
-        tier, resident = asyncio.run(scenario())
-        assert resident == {"a": True, "b": False, "c": True}
-        assert tier.resident_bytes == 200
-        assert self._evictions() == before + 1
-
-    def test_oversized_entry_never_self_evicts(self):
-        before = self._evictions()
-
-        async def scenario():
-            tier = SurfaceTier(limit_bytes=50)
-
-            async def builder():
-                return 1000
-
-            source = await tier.acquire("big", builder)
-            return tier, source
-
-        tier, source = asyncio.run(scenario())
-        assert source == "built" and tier.lookup("big")
-        assert tier.resident_bytes == 1000
-        assert self._evictions() == before
+        tier, sources, ready = asyncio.run(scenario())
+        assert sources == ["built"] * 3 + ["hit"] * 2
+        assert ready == {"a": True, "b": True, "c": True}
+        assert tier.stats() == {"entries": 3, "ready": 3, "building": 0}
+        assert REGISTRY.counter("serve_surface_hits") == hits + 5
 
     def test_close_during_inflight_build_unlinks(self):
-        before = self._evictions()
-
         async def scenario():
-            tier = SurfaceTier(limit_bytes=1 << 20)
+            tier = SurfaceTier()
             release = asyncio.Event()
 
             async def builder():
                 await release.wait()
-                return 100
 
             acquire = asyncio.ensure_future(tier.acquire("fp", builder))
             await asyncio.sleep(0.01)  # the build task is in flight
@@ -281,12 +255,9 @@ class TestSurfaceTier:
             return tier, await acquire
 
         tier, source = asyncio.run(scenario())
-        # The closed tier forgot the entry: the moot build is neither
-        # resident nor counted as an eviction.
+        # The closed tier forgot the entry: the moot build is not kept.
         assert source == "built"
-        assert tier.resident_bytes == 0
         assert tier.stats()["entries"] == 0
-        assert self._evictions() == before
 
 
 class TestSingleFlight:
@@ -423,9 +394,9 @@ class TestPrivateArchive:
             assert (scrape_counter(after, "repro_phase_runs_total", label)
                     - scrape_counter(before, "repro_phase_runs_total",
                                      label)) == 1
-            # The tier budgets the surface's 12 array bytes per point.
-            num_points = replies[0][1]["surface"]["num_points"]
-            assert thread.server.tier.resident_bytes == 12 * num_points
+            # One surface, built once and then a hit for every request.
+            assert thread.server.tier.stats() == {
+                "entries": 1, "ready": 1, "building": 0}
         finally:
             thread.stop()
         assert not os.path.exists(private)
@@ -645,7 +616,7 @@ class TestEndpoints:
                 text, "repro_serve_requests_total", {"outcome": "ok"}
             ) >= 1
             assert "repro_serve_latency_seconds_bucket" in text
-            assert "repro_serve_cache_resident_bytes" in text
+            assert "repro_serve_cache_entries" in text
             health = client.request_json("GET", "/healthz")[1]
             assert health["status"] == "ok"
             assert health["workers"] == 2
@@ -1063,6 +1034,63 @@ class TestResidentState:
                                qa=qa)
             assert (json.dumps(result, sort_keys=True)
                     == json.dumps(solo, sort_keys=True)), (name, qa)
+
+    def test_repeat_evaluate_is_read_from_the_sweep_memo(
+            self, serve_env, tmp_path, monkeypatch):
+        """A repeat sweep of a resident object with the same engine is
+        not run again (counted, and its span says ``memo=hit``) and
+        replies the same fields; another engine, a history prior and a
+        dropped instance each sweep afresh; the monitor's verdict on a
+        hit is the miss's.  Catches a memo keyed without the engine (the
+        loop sweep would be a hit)."""
+        from repro.serve import worker
+
+        monkeypatch.setenv("REPRO_PRIOR_STORE", str(tmp_path / "h.jsonl"))
+        sweeps = []
+
+        def counting(algorithm, **kwargs):
+            sweeps.append(kwargs.get("engine"))
+            return evaluate_algorithm(algorithm, **kwargs)
+
+        monkeypatch.setattr(worker, "evaluate_algorithm", counting)
+
+        def evaluate(**fields):
+            out = worker.run_discovery(worker_spec(
+                "3D_Q15", algorithm="ab", kind="evaluate",
+                trace={"trace_id": "5" * 32}, **fields))
+            assert out["outcome"] == "ok", out
+            hits = out["metrics"]["counters"].get("serve_sweep_memo_hits", 0)
+            assert [s["attrs"]["memo"] for s in out["spans"]
+                    if s["name"] == "worker.evaluate"] == [
+                        "hit" if hits else "miss"]
+            return out, hits
+
+        first, hits = evaluate(engine="batch", conformance=True)
+        assert (sweeps, hits) == (["batch"], 0)
+        again, hits = evaluate(engine="batch", conformance=True)
+        assert (sweeps, hits) == (["batch"], 1)
+        assert (json.dumps(again["result"], sort_keys=True)
+                == json.dumps(first["result"], sort_keys=True))
+        assert again["conformance"] == first["conformance"]
+        assert first["conformance"]["num_violations"] == 0
+        assert first["conformance"]["checks"]
+
+        # The engine is part of the key: loop after batch sweeps once.
+        loop, hits = evaluate(engine="loop")
+        assert (sweeps, hits) == (["batch", "loop"], 0)
+        assert loop["result"] == first["result"]
+        assert evaluate(engine="loop")[1] == 1
+        assert len(sweeps) == 2
+
+        # prior=history has a throw-away object, so no memo.
+        for _ in range(2):
+            assert evaluate(engine="batch", prior="history")[1] == 0
+        assert len(sweeps) == 4
+
+        # The memo goes with its instance.
+        monkeypatch.setattr(worker, "MEMO_LIMIT", 0)
+        assert evaluate(engine="batch")[1] == 0
+        assert len(sweeps) == 5
 
     def test_fingerprint_memo_skips_errors_and_stays_bounded(
             self, serve_env, monkeypatch):
